@@ -32,6 +32,10 @@ from .complexes import (
 from .monomials import Monomial, MonomialIdeal
 
 
+EXHAUSTIVE_MAX_N = 6   # largest n that enumerate_complexes will visit
+RANDOM_MAX_N = 20      # largest n that random_complex will sample
+
+
 class Verdict(Enum):
     PRINCIPALLY_GENERATED = "pg"
     INFINITELY_GENERATED = "infgen"
@@ -63,6 +67,32 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
 
 
 @dataclass(frozen=True)
+class ColonIdentity:
+    """Both sides of I^[q] : I = I^[q] + (x_V^{q-1}), V the variables of I."""
+
+    lhs: MonomialIdeal    # I^[q] : I
+    rhs: MonomialIdeal    # I^[q] + (x_V^{q-1})
+
+    @property
+    def holds(self) -> bool:
+        return self.lhs == self.rhs
+
+    def offending(self) -> Iterator[Monomial]:
+        """Generators of the lhs outside the rhs, in sorted order."""
+        return (g for g in self.lhs.sorted_gens() if not mono.contains(self.rhs, g))
+
+
+def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
+    """The colon-ideal identity of a monomial ideal, V = the variables
+    dividing some generator (for a Stanley-Reisner ideal, the support
+    vertices of the complex)."""
+    frob = mono.frobenius_power(ideal, q)
+    lhs = mono.colon(frob, ideal)
+    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
+    return ColonIdentity(lhs, mono.add(frob, mono.principal(xv)))
+
+
+@dataclass(frozen=True)
 class IdealTest:
     verdict: Verdict
     ideal: MonomialIdeal
@@ -79,14 +109,11 @@ def ideal_test(cx: SimplicialComplex, q: int = 2) -> IdealTest:
     if ideal.is_zero():
         # Full simplex: the ring is regular, short-circuit.
         return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, None, None, None)
-    frob = mono.frobenius_power(ideal, q)
-    lhs = mono.colon(frob, ideal)
-    xv = tuple(q - 1 if support_vertices(cx) >> i & 1 else 0 for i in range(cx.n))
-    rhs = mono.add(frob, mono.principal(xv))
-    if lhs == rhs:
-        return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, lhs, rhs, None)
-    offending = next(g for g in lhs.sorted_gens() if not mono.contains(rhs, g))
-    return IdealTest(Verdict.INFINITELY_GENERATED, ideal, lhs, rhs, offending)
+    identity = colon_identity(ideal, q)
+    if identity.holds:
+        return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, identity.lhs, identity.rhs, None)
+    return IdealTest(Verdict.INFINITELY_GENERATED, ideal, identity.lhs, identity.rhs,
+                     next(identity.offending()))
 
 
 def witness_monomial(cx: SimplicialComplex, pair: FreeFacePair) -> Monomial:
@@ -218,8 +245,8 @@ def classify(cx: SimplicialComplex, mode: str = "both", q: int = 2) -> Classific
 
 def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComplex:
     """Deterministic random complex: size-biased facet candidates, then maximal."""
-    if not 1 <= n <= 20:
-        raise ValueError("random_complex supports 1 <= n <= 20")
+    if not 1 <= n <= RANDOM_MAX_N:
+        raise ValueError(f"random_complex supports 1 <= n <= {RANDOM_MAX_N}")
     if not 0 < expected_density < 1:
         raise ValueError("density must lie strictly between 0 and 1")
     rng = random.Random(seed)
@@ -232,7 +259,7 @@ def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComp
     return from_masks(cands, n)
 
 
-def enumerate_complexes(n: int, limit: int = 6) -> Iterator[SimplicialComplex]:
+def enumerate_complexes(n: int, limit: int = EXHAUSTIVE_MAX_N) -> Iterator[SimplicialComplex]:
     """Every simplicial complex on [n]: all antichains of nonempty subsets,
     plus {∅}.  Exhaustive use is intended for small n only."""
     if n > limit:
@@ -291,7 +318,11 @@ def count_complexes_oracle(n: int) -> int:
 
 
 def _witness_contract_holds(cx: SimplicialComplex) -> bool:
-    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x^1) on the core, for the first pair."""
+    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x^1) on the core, for the first pair.
+
+    Membership in the colon is tested by its definition: m·g ∈ I^[2] for
+    every generator g of I.
+    """
     core_cx, _ = core(cx)
     pairs = free_faces(core_cx)
     if not pairs:
@@ -299,9 +330,9 @@ def _witness_contract_holds(cx: SimplicialComplex) -> bool:
     m = witness_monomial(core_cx, pairs[0])
     ideal = ideal_of_complex(core_cx)
     frob = mono.frobenius_power(ideal, 2)
-    lhs = mono.colon(frob, ideal)
+    in_lhs = all(mono.contains(frob, mono.multiply(m, g)) for g in ideal.gens)
     rhs = mono.add(frob, mono.principal((1,) * core_cx.n))
-    return mono.contains(lhs, m) and not mono.contains(rhs, m)
+    return in_lhs and not mono.contains(rhs, m)
 
 
 @dataclass

@@ -62,7 +62,7 @@ def _load_complex(args) -> cxm.SimplicialComplex:
         if fmt == "facets":
             return fileio.parse_facet_file(text, args.n)
         return cl.complex_of_ideal(fileio.parse_ideal_file(text, args.n))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -73,7 +73,7 @@ def _load_ideal(args) -> mono.MonomialIdeal:
         if fmt == "ideal":
             return fileio.parse_ideal_file(text, args.n)
         return cl.ideal_of_complex(fileio.parse_facet_file(text, args.n))
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
@@ -86,14 +86,21 @@ def _emit(args, json_obj, text_lines):
 
 
 def _check_field(args) -> int:
-    if not hom.is_prime(args.field):
-        raise InputError(f"--field {args.field} is not prime")
-    return args.field
+    try:
+        return hom.PrimeField(args.field).p
+    except ValueError as exc:
+        raise InputError(f"--field {exc}") from None
+
+
+def _check_q(q: int) -> int:
+    if q < 2:
+        raise InputError(f"--q {q} must be >= 2")
+    return q
 
 
 def cmd_classify(args) -> int:
     cx = _load_complex(args)
-    report = cl.classify(cx, mode="both", q=args.q)
+    report = cl.classify(cx, mode="both", q=_check_q(args.q))
     d = report.to_json_dict()
     lines = [
         f"verdict: {'principally generated' if report.verdict is Verdict.PRINCIPALLY_GENERATED else 'infinitely generated'}",
@@ -169,20 +176,13 @@ def cmd_colon(args) -> int:
         _emit(args, {"zero_ideal": True, "verdict": "pg"},
               ["zero ideal: the ring is regular; principally generated"])
         return EXIT_OK
-    if args.q < 2:
-        raise InputError(f"--q {args.q} must be >= 2")
-    frob = mono.frobenius_power(ideal, args.q)
-    lhs = mono.colon(frob, ideal)
-    full = mono.add(frob, mono.principal(
-        tuple(args.q - 1 if any(g[i] for g in ideal.gens) else 0
-              for i in range(ideal.n))))
-    offending = [mono.format_monomial(g) for g in lhs.sorted_gens()
-                 if not mono.contains(full, g)]
+    identity = cl.colon_identity(ideal, _check_q(args.q))
+    offending = [mono.format_monomial(g) for g in identity.offending()]
     obj = {
         "q": args.q,
-        "lhs": lhs.gens_strings(),
-        "rhs": full.gens_strings(),
-        "equal": lhs == full,
+        "lhs": identity.lhs.gens_strings(),
+        "rhs": identity.rhs.gens_strings(),
+        "equal": identity.holds,
         "offending": offending,
     }
     lines = [
@@ -241,9 +241,25 @@ def cmd_bstar_refute(args) -> int:
     return EXIT_OK
 
 
+def _parse_q_sweep(text: str | None) -> tuple[int, ...] | None:
+    if not text:
+        return None
+    try:
+        q_sweep = tuple(int(q) for q in text.split(","))
+    except ValueError:
+        q_sweep = ()
+    if not q_sweep or min(q_sweep) < 2:
+        raise InputError(f"--q-sweep {text!r} is not a comma-separated list of integers >= 2")
+    return q_sweep
+
+
 def cmd_cross_validate(args) -> int:
-    q_sweep = tuple(int(q) for q in args.q_sweep.split(",")) if args.q_sweep else None
+    q_sweep = _parse_q_sweep(args.q_sweep)
     if args.single_n is not None:
+        lo, hi = (0, cl.EXHAUSTIVE_MAX_N) if args.exhaustive else (1, cl.RANDOM_MAX_N)
+        if not lo <= args.single_n <= hi:
+            mode = "exhaustive" if args.exhaustive else "random"
+            raise InputError(f"--n {args.single_n} outside [{lo}, {hi}] for {mode} trials")
         if args.exhaustive:
             exhaustive, rand = (args.single_n,), ()
         else:
@@ -350,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InconsistencyError as exc:

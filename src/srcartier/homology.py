@@ -2,14 +2,18 @@
 
 Chain complexes are built from face bitmasks with the ascending-vertex
 orientation; relative homology of a pair (Δ, Γ) uses the quotient basis
-of faces of Δ outside Γ.  All ranks are computed by exact Gaussian
-elimination (bitmask rows over GF(2), modular arithmetic otherwise).
+of faces of Δ outside Γ.  Each boundary map is stored as a list of sparse
+rows (column -> coefficient mod p), and ∂² = 0 is checked on every build.
+One Gaussian elimination, `_eliminate`, serves every caller: it returns
+the rank and, for cycle bases, the left kernel {x : x·M = 0}.  Over GF(2)
+it packs rows into ints; otherwise it reduces dict rows modulo p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .complexes import (
@@ -29,92 +33,82 @@ from .complexes import (
 )
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class PrimeField:
+    """A prime p with 2 <= p < 2^31; trial division is bounded by 2^16."""
+
     p: int
 
     def __post_init__(self):
-        if not (2 <= self.p < 2**31 and is_prime(self.p)):
-            raise ValueError(f"{self.p} is not a prime in [2, 2^31)")
+        p = self.p
+        if not 2 <= p < 2**31:
+            raise ValueError(f"{p} is outside [2, 2^31)")
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p} is not prime")
 
 
-def _rank_gf2(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for r in rows:
-        for piv in pivots:
-            low = piv & -piv
-            if r & low:
-                r ^= piv
-        if r:
-            pivots.append(r)
-            rank += 1
-    return rank
+Row = dict[int, int]  # column -> nonzero coefficient mod p
 
 
-def _rank_gfp(rows: list[list[int]], p: int) -> int:
-    rows = [r[:] for r in rows if any(r)]
-    rank = 0
-    pivots: list[tuple[int, list[int]]] = []
-    for r in rows:
-        for col, piv in pivots:
-            c = r[col] % p
-            if c:
-                r[:] = [(x - c * y) % p for x, y in zip(r, piv)]
-        lead = next((i for i, x in enumerate(r) if x % p), None)
-        if lead is not None:
-            inv = pow(r[lead], p - 2, p)
-            piv = [(x * inv) % p for x in r]
-            pivots.append((lead, piv))
-            rank += 1
-    return rank
+def _subtract_multiple(dst: Row, c: int, src: Row, p: int):
+    """dst -= c·src over GF(p), dropping entries that cancel."""
+    for j, v in src.items():
+        x = (dst.get(j, 0) - c * v) % p
+        if x:
+            dst[j] = x
+        else:
+            del dst[j]
 
 
-class _Matrix:
-    """Dense matrix over GF(p) assembled from sparse (row, col, coeff)."""
+def _eliminate(rows: list[Row], p: int, kernel: bool = False) -> tuple[int, list[Row]]:
+    """Rank over GF(p) of the matrix with the given sparse rows and, if
+    `kernel`, a basis of its left kernel {x : x·M = 0} indexed by row.
 
-    def __init__(self, nrows: int, ncols: int, p: int):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.p = p
-        self.entries: dict[tuple[int, int], int] = {}
-
-    def add(self, i: int, j: int, c: int):
-        key = (i, j)
-        self.entries[key] = (self.entries.get(key, 0) + c) % self.p
-
-    def rows(self) -> list[list[int]]:
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for (i, j), c in self.entries.items():
-            out[i][j] = c
-        return out
-
-    def rows_gf2(self) -> list[int]:
-        out = [0] * self.nrows
-        for (i, j), c in self.entries.items():
-            if c % 2:
-                out[i] |= 1 << j
-        return out
-
-    def rank(self) -> int:
-        if self.p == 2:
-            return _rank_gf2(self.rows_gf2())
-        return _rank_gfp(self.rows(), self.p)
+    Each row is reduced against pivots keyed by their leading column; a row
+    that reduces to zero contributes the combination of input rows that
+    produced it.  Over GF(2) rows and combinations are packed into ints.
+    """
+    null: list[Row] = []
+    if p == 2:
+        pivots2: dict[int, tuple[int, int]] = {}
+        for i, row in enumerate(rows):
+            r = sum(1 << j for j, c in row.items() if c & 1)
+            comb = 1 << i if kernel else 0
+            while r:
+                piv = pivots2.get(r & -r)
+                if piv is None:
+                    pivots2[r & -r] = (r, comb)
+                    break
+                r ^= piv[0]
+                comb ^= piv[1]
+            else:
+                if kernel:
+                    x: Row = {}
+                    while comb:
+                        x[(comb & -comb).bit_length() - 1] = 1
+                        comb &= comb - 1
+                    null.append(x)
+        return len(pivots2), null
+    pivots: dict[int, tuple[Row, Row]] = {}
+    for i, row in enumerate(rows):
+        r = {j: c % p for j, c in row.items() if c % p}
+        comb = {i: 1} if kernel else {}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], p - 2, p)
+                pivots[lead] = ({j: c * inv % p for j, c in r.items()},
+                                {k: c * inv % p for k, c in comb.items()})
+                break
+            c = r[lead]
+            _subtract_multiple(r, c, piv[0], p)
+            if kernel:
+                _subtract_multiple(comb, c, piv[1], p)
+        else:
+            if kernel:
+                null.append(comb)
+    return len(pivots), null
 
 
 class ChainComplexOverField(NamedTuple):
@@ -122,15 +116,11 @@ class ChainComplexOverField(NamedTuple):
 
     p: int
     basis: dict[int, list[int]]          # degree -> ordered face masks
-    boundaries: dict[int, _Matrix]       # degree k -> matrix C_k -> C_{k-1}
+    boundaries: dict[int, list[Row]]     # degree k -> rows of C_k -> C_{k-1}
 
     def homology_dims(self) -> dict[int, int]:
-        degrees = sorted(self.basis)
-        ranks = {k: self.boundaries[k].rank() for k in degrees}
-        out = {}
-        for k in degrees:
-            out[k] = len(self.basis[k]) - ranks[k] - ranks.get(k + 1, 0)
-        return out
+        ranks = {k: _eliminate(rows, self.p)[0] for k, rows in self.boundaries.items()}
+        return {k: len(self.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(self.basis)}
 
 
 def _boundary_terms(face: int):
@@ -147,41 +137,39 @@ def _boundary_terms(face: int):
 
 
 def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
-    """Chain complex on the given faces; coefficients to absent faces drop."""
+    """Chain complex on the given faces; coefficients to absent faces drop.
+
+    Raises ValueError unless p is a prime below 2^31: modulo a composite,
+    leading coefficients need not be invertible and elimination would not
+    terminate.
+    """
+    p = PrimeField(p).p
     basis: dict[int, list[int]] = {}
     for f in face_basis:
         basis.setdefault(f.bit_count() - 1, []).append(f)
     for k in basis:
         basis[k].sort(key=face_key)
     index = {f: i for k in basis for i, f in enumerate(basis[k])}
-    boundaries: dict[int, _Matrix] = {}
-    for k in sorted(basis):
-        mat = _Matrix(len(basis[k]), len(basis.get(k - 1, [])), p)
-        for i, f in enumerate(basis[k]):
-            for sub, sign in _boundary_terms(f):
-                if sub in face_basis:
-                    mat.add(i, index[sub], sign)
-        boundaries[k] = mat
-    _check_boundary_squared(basis, boundaries, p)
+    boundaries = {
+        k: [{index[sub]: sign % p for sub, sign in _boundary_terms(f) if sub in face_basis}
+            for f in basis[k]]
+        for k in basis
+    }
+    _check_boundary_squared(boundaries, p)
     return ChainComplexOverField(p, basis, boundaries)
 
 
-def _check_boundary_squared(basis, boundaries, p):
-    for k in sorted(basis):
-        if k - 1 not in basis:
+def _check_boundary_squared(boundaries: dict[int, list[Row]], p: int):
+    for k, rows in boundaries.items():
+        lower = boundaries.get(k - 1)
+        if lower is None:
             continue
-        upper_rows: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), c in boundaries[k].entries.items():
-            upper_rows.setdefault(i, []).append((j, c))
-        lower_rows: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), c in boundaries[k - 1].entries.items():
-            lower_rows.setdefault(i, []).append((j, c))
-        for i in range(len(basis[k])):
+        for row in rows:
             acc: dict[int, int] = {}
-            for j, c in upper_rows.get(i, []):
-                for j2, c2 in lower_rows.get(j, []):
-                    acc[j2] = (acc.get(j2, 0) + c * c2) % p
-            if any(acc.values()):
+            for j, c in row.items():
+                for j2, c2 in lower[j].items():
+                    acc[j2] = acc.get(j2, 0) + c * c2
+            if any(v % p for v in acc.values()):
                 raise AssertionError("boundary squared is nonzero")
 
 
@@ -222,29 +210,6 @@ class RankCertificate(NamedTuple):
     target_dim: int
 
 
-def _left_nullspace(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {x : x . M = 0} for M given by rows."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    # Augment with identity and eliminate; rows reducing to zero give the basis.
-    aug = [[rows[i][j] % p for j in range(ncols)] + [1 if k == i else 0 for k in range(m)]
-           for i in range(m)]
-    pivots: list[tuple[int, list[int]]] = []
-    null: list[list[int]] = []
-    for r in aug:
-        for col, piv in pivots:
-            c = r[col] % p
-            if c:
-                r[:] = [(x - c * y) % p for x, y in zip(r, piv)]
-        lead = next((i for i in range(ncols) if r[i] % p), None)
-        if lead is None:
-            null.append(r[ncols:])
-        else:
-            inv = pow(r[lead], p - 2, p)
-            pivots.append((lead, [(x * inv) % p for x in r]))
-    return null
-
-
 def relative_map_is_surjective(
     cx: SimplicialComplex, small: int, big: int, degree: int, p: int = 2
 ) -> RankCertificate:
@@ -259,36 +224,22 @@ def relative_map_is_surjective(
     if not is_face(cx, big):
         raise ValueError("second argument is not a face")
     faces = cx.faces()
-    src = {f for f in faces if small & ~f == 0}
-    tgt = {f for f in faces if big & ~f == 0}
-    cc_s = build_chain_complex(src, p)
-    cc_t = build_chain_complex(tgt, p)
+    cc_s = build_chain_complex({f for f in faces if small & ~f == 0}, p)
+    cc_t = build_chain_complex({f for f in faces if big & ~f == 0}, p)
     basis_s = cc_s.basis.get(degree, [])
-    basis_t = cc_t.basis.get(degree, [])
-    tgt_index = {f: i for i, f in enumerate(basis_t)}
-    nt = len(basis_t)
+    tgt_index = {f: i for i, f in enumerate(cc_t.basis.get(degree, []))}
 
-    rank_dt = cc_t.boundaries[degree].rank() if degree in cc_t.boundaries else 0
-    bt_rows = cc_t.boundaries[degree + 1].rows() if degree + 1 in cc_t.boundaries else []
-    rank_bt = _rank_gfp(bt_rows, p) if bt_rows else 0
-    target_dim = nt - rank_dt - rank_bt if nt else 0
-
+    rank_dt = _eliminate(cc_t.boundaries.get(degree, []), p)[0]
+    bt_rows = cc_t.boundaries.get(degree + 1, [])
+    rank_bt = _eliminate(bt_rows, p)[0]
+    target_dim = len(tgt_index) - rank_dt - rank_bt
     if target_dim == 0:
         return RankCertificate(True, 0, 0)
 
-    if degree in cc_s.boundaries and basis_s:
-        cycle_basis = _left_nullspace(cc_s.boundaries[degree].rows(), p)
-    else:
-        cycle_basis = []
-    projected = []
-    for z in cycle_basis:
-        vec = [0] * nt
-        for coeff, f in zip(z, basis_s):
-            if coeff and f in tgt_index:
-                vec[tgt_index[f]] = coeff % p
-        projected.append(vec)
-    stacked = projected + bt_rows
-    rank_map = _rank_gfp(stacked, p) - rank_bt
+    _, cycles = _eliminate(cc_s.boundaries.get(degree, []), p, kernel=True)
+    projected = [{tgt_index[basis_s[i]]: c for i, c in z.items() if basis_s[i] in tgt_index}
+                 for z in cycles]
+    rank_map = _eliminate(projected + bt_rows, p)[0] - rank_bt
     return RankCertificate(rank_map == target_dim, rank_map, target_dim)
 
 

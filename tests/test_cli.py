@@ -188,6 +188,12 @@ class TestHomologyCommands:
         code, _, err = run(capsys, "homology", f, "--field", "4")
         assert code == 1 and "not prime" in err
 
+    def test_field_at_or_above_2_to_31_rejected(self, capsys, facet_file):
+        # 2147483659 is prime, but outside the supported range [2, 2^31).
+        f = facet_file("n = 2\n1 2\n")
+        code, _, err = run(capsys, "homology", f, "--field", "2147483659")
+        assert code == 1 and err.startswith("error: ") and "2^31" in err
+
     def test_cm(self, capsys, facet_file, whiskered_file):
         f = facet_file("n = 3\n1 2 3\n")
         code, out, _ = run(capsys, "cm", f, "--json")
@@ -258,3 +264,16 @@ class TestCrossValidate:
         monkeypatch.setattr(cartier, "classify_via_free_face", flipped)
         code, out, _ = run(capsys, "cross-validate", "--n", "2", "--exhaustive")
         assert code == 2 and "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "{infgen}", "--q", "1"),
+    ("classify", "{infgen}", "--q", "100000"),
+    ("cross-validate", "--n", "0"),
+    ("cross-validate", "--n", "9", "--exhaustive"),
+    ("cross-validate", "--n", "3", "--exhaustive", "--q-sweep", "x"),
+])
+def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
+    code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

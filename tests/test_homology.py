@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from srcartier.complexes import (
@@ -9,6 +12,7 @@ from srcartier.complexes import (
 )
 from srcartier.homology import (
     PrimeField,
+    _eliminate,
     buchsbaum_star_refutation,
     contrastar_profile,
     euler_characteristic_reduced,
@@ -16,7 +20,6 @@ from srcartier.homology import (
     is_doubly_cohen_macaulay,
     is_gorenstein,
     is_gorenstein_star,
-    is_prime,
     reduced_betti,
     relative_betti,
     relative_map_is_surjective,
@@ -227,12 +230,59 @@ class TestBuchsbaumStar:
 
 
 class TestField:
-    def test_is_prime(self):
-        assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
-
     def test_prime_field(self):
-        assert PrimeField(2).p == 2
-        assert PrimeField(101).p == 101
-        for bad in (0, 1, 4, 9, 2**31):
+        def accepted(p):
+            try:
+                return PrimeField(p).p == p
+            except ValueError:
+                return False
+
+        assert [p for p in range(20) if accepted(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+        assert accepted(101) and accepted(2**31 - 1)
+        for bad in (-3, 0, 1, 4, 9, 2**31, 2147483659):
             with pytest.raises(ValueError):
                 PrimeField(bad)
+
+    def test_homology_rejects_composite_field(self, hollow_triangle):
+        for bad in (1, 4, 6):
+            with pytest.raises(ValueError):
+                reduced_betti(hollow_triangle, bad)
+
+
+def _span(vectors, p, ncols):
+    """Every GF(p) combination of the given sparse vectors, as dense tuples."""
+    out = set()
+    for coeffs in product(range(p), repeat=len(vectors)):
+        acc = [0] * ncols
+        for a, v in zip(coeffs, vectors):
+            for j, c in v.items():
+                acc[j] = (acc[j] + a * c) % p
+        out.add(tuple(acc))
+    return out
+
+
+class TestEliminate:
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_rank_and_left_kernel_against_enumeration(self, p):
+        rng = random.Random(1000 + p)
+        for _ in range(60):
+            nrows, ncols = rng.randint(0, 5), rng.randint(0, 6)
+            density = rng.choice((0.2, 0.5, 0.9))
+            rows = [{j: rng.randrange(1, p) for j in range(ncols) if rng.random() < density}
+                    for _ in range(nrows)]
+            if nrows >= 3 and rng.random() < 0.5:
+                # Force a dependency: the last row is a combination of two others.
+                a, b = rng.randrange(1, p), rng.randrange(1, p)
+                mixed = {j: (a * rows[0].get(j, 0) + b * rows[1].get(j, 0)) % p
+                         for j in range(ncols)}
+                rows[-1] = {j: c for j, c in mixed.items() if c}
+            rank, kernel = _eliminate(rows, p, kernel=True)
+            assert p ** rank == len(_span(rows, p, ncols))
+            assert _eliminate(rows, p)[0] == rank
+            assert len(kernel) == nrows - rank
+            for x in kernel:
+                assert all(0 <= i < nrows and c % p for i, c in x.items())
+                product_row = [sum(c * rows[i].get(j, 0) for i, c in x.items()) % p
+                               for j in range(ncols)]
+                assert not any(product_row)
+            assert len(_span(kernel, p, nrows)) == p ** len(kernel)
