@@ -19,6 +19,7 @@ from . import monomials as mono
 from .complexes import (
     FreeFacePair,
     SimplicialComplex,
+    _minimal_transversals,
     core,
     face_key,
     free_faces,
@@ -32,7 +33,7 @@ from .complexes import (
 from .monomials import Monomial, MonomialIdeal
 
 
-EXHAUSTIVE_MAX_N = 6   # largest n that enumerate_complexes will visit
+EXHAUSTIVE_MAX_N = 5   # largest n that enumerate_complexes will visit
 RANDOM_MAX_N = 20      # largest n that random_complex will sample
 
 
@@ -58,12 +59,13 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     for g in ideal.gens:
         if not mono.is_squarefree(g):
             raise ValueError(f"generator {mono.format_monomial(g)} is not squarefree")
-    if ideal.is_unit():
-        return SimplicialComplex(ideal.n, frozenset({0}))
+    # A set is a face iff its complement meets every generator support, so
+    # the facets are the complements of the minimal transversals (none for
+    # the unit ideal, which gives the complex {∅}).
     supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
-    faces = [m for m in range(1 << ideal.n)
-             if not any(s & ~m == 0 for s in supports)]
-    return from_masks(faces, ideal.n)
+    full = (1 << ideal.n) - 1
+    return from_masks((full & ~t for t in _minimal_transversals(supports, ideal.n)),
+                      ideal.n)
 
 
 @dataclass(frozen=True)

@@ -177,6 +177,10 @@ def cmd_colon(args) -> int:
               ["zero ideal: the ring is regular; principally generated"])
         return EXIT_OK
     identity = cl.colon_identity(ideal, _check_q(args.q))
+    if not all(mono.is_squarefree(g) for g in ideal.gens):
+        print(f"note: the ideal is not squarefree, so xV^{args.q - 1} is not in "
+              f"I^[{args.q}]:I and the paper's identity does not apply",
+              file=sys.stderr)
     offending = [mono.format_monomial(g) for g in identity.offending()]
     obj = {
         "q": args.q,

@@ -4,13 +4,19 @@ Vertices are labelled 1..n and a face is an integer whose bit i-1 is set
 iff vertex i belongs to the face.  The complex {∅} (the nonvoid complex
 with no vertices) is stored as the single facet 0.  The void complex is
 not representable.
+
+Nothing here walks all 2^n subsets of the ground set.  Minimal nonfaces
+are computed by hypergraph dualization (Alexander duality: they are the
+minimal transversals of the facet complements, see `_minimal_transversals`),
+free faces come from the ridges G minus v of the facets G, and an
+elementary collapse rewrites the facet list directly.  Only `faces`
+lists every face, and no routine on the classify path calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -37,6 +43,14 @@ def mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
 def face_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Graded-lexicographic sort key on faces (cardinality, then labels)."""
     return (mask.bit_count(), mask_vertices(mask))
@@ -47,7 +61,10 @@ def _maximal(masks: Iterable[int]) -> frozenset[int]:
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())
     kept: list[int] = []
     for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
+        for k in kept:
+            if m & ~k == 0:
+                break
+        else:
             kept.append(m)
     return frozenset(kept)
 
@@ -149,16 +166,23 @@ def facets_containing(cx: SimplicialComplex, face: int) -> list[int]:
 def free_faces(cx: SimplicialComplex) -> list[FreeFacePair]:
     """All pairs (F, G) with G the unique facet over F and |G| = |F|+1.
 
-    The empty face is excluded: removing it would not preserve the
-    homotopy type, and any complex where it qualifies is a cone.
+    Only the ridges F = G minus v of a facet G with |G| >= 2 qualify; such
+    an F is free iff no other facet contains it.  The empty face is
+    excluded: removing it would not preserve the homotopy type, and any
+    complex where it qualifies is a cone.
     """
     pairs = []
-    for face in cx.faces():
-        if face == 0:
+    for g in cx.facets:
+        if g.bit_count() < 2:
             continue
-        conts = [f for f in cx.facets if face & ~f == 0]
-        if len(conts) == 1 and conts[0].bit_count() == face.bit_count() + 1:
-            pairs.append(FreeFacePair(face, conts[0]))
+        others = [h for h in cx.facets if h != g]
+        for v in _bits(g):
+            face = g & ~v
+            for h in others:
+                if face & ~h == 0:
+                    break
+            else:
+                pairs.append(FreeFacePair(face, g))
     pairs.sort(key=lambda p: face_key(p.free_face))
     return pairs
 
@@ -174,11 +198,16 @@ def is_free_face_pair(cx: SimplicialComplex, pair: FreeFacePair) -> bool:
 
 
 def elementary_collapse(cx: SimplicialComplex, pair: FreeFacePair) -> SimplicialComplex:
-    """Remove a free face and its facet; preserves the homotopy type."""
+    """Remove a free face F and its facet G; preserves the homotopy type.
+
+    The faces left inside G are those of the facets G minus w, w in F.
+    """
     if not is_free_face_pair(cx, pair):
         raise ValueError(f"{pair} is not a free-face pair of the complex")
-    remaining = cx.faces() - {pair.free_face, pair.facet}
-    return from_masks(remaining, cx.n)
+    g = pair.facet
+    masks = [f for f in cx.facets if f != g]
+    masks += [g & ~w for w in _bits(pair.free_face)]
+    return from_masks(masks, cx.n)
 
 
 def collapse_greedy(cx: SimplicialComplex) -> tuple[SimplicialComplex, list[FreeFacePair]]:
@@ -268,17 +297,46 @@ def is_subcomplex(sub: SimplicialComplex, cx: SimplicialComplex) -> bool:
     return sub.n == cx.n and all(is_face(cx, f) for f in sub.facets)
 
 
+def _minimal_transversals(edges: Iterable[int], n: int) -> list[int]:
+    """Minimal vertex sets meeting every edge, by Berge dualization.
+
+    Edges are processed one at a time.  A transversal that meets the new
+    edge is kept; one that misses it is extended by each vertex v of the
+    edge, and the extension is minimal unless a kept transversal lies
+    inside it (such a kept set must contain v).  An empty edge leaves no
+    transversal; no edges leave the empty set.  The work depends on the
+    edges and on the transversals of their prefixes, not on a scan of the
+    2^n subsets of the ground set.
+    """
+    full = (1 << n) - 1
+    trans = [0]
+    for e in sorted({e & full for e in edges}, key=int.bit_count):
+        missed = [t for t in trans if not t & e]
+        if not missed:
+            continue
+        hit = [t for t in trans if t & e]
+        trans = hit[:]
+        for v in _bits(e):
+            hit_v = [h for h in hit if h & v]
+            for t in missed:
+                tv = t | v
+                for h in hit_v:
+                    if h & ~tv == 0:
+                        break
+                else:
+                    trans.append(tv)
+    return trans
+
+
 def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:
-    """Inclusion-minimal non-faces, in graded-lex order."""
-    found: list[int] = []
-    for k in range(1, cx.n + 1):
-        for combo in combinations(range(1, cx.n + 1), k):
-            m = vertex_mask(combo, cx.n)
-            if any(nf & ~m == 0 for nf in found):
-                continue
-            if not is_face(cx, m):
-                found.append(m)
-    return found
+    """Inclusion-minimal non-faces, in graded-lex order.
+
+    By Alexander duality these are the minimal transversals of the facet
+    complements: a set is a nonface iff it meets every complement.
+    """
+    full = (1 << cx.n) - 1
+    found = _minimal_transversals((full & ~f for f in cx.facets), cx.n)
+    return sorted(found, key=face_key)
 
 
 def is_pure(cx: SimplicialComplex) -> bool:

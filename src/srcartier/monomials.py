@@ -4,7 +4,10 @@ A monomial is a tuple of n non-negative exponents.  Ideals are kept as
 minimal generating sets.  The heavy set operations (minimize, intersect,
 colon) run on a packed encoding: each exponent e is stored as a run of e
 one-bits (a thermometer code), so that divisibility is a submask test and
-lcm/gcd are bitwise or/and.
+lcm/gcd are bitwise or/and.  A monomial quotient a : g is a few masked
+right shifts of the packed a (one per exponent level of g), and an
+intersection pairs only the generators that no generator of the other
+side divides; the rest pass through unchanged.
 """
 
 from __future__ import annotations
@@ -129,13 +132,59 @@ def _minimize_packed(cands: Iterable[int]) -> list[int]:
     """Minimal elements under the divisibility submask order."""
     kept: list[int] = []
     for c in sorted(set(cands), key=int.bit_count):
-        if not any(c & k == k for k in kept):
+        for k in kept:
+            if c & k == k:
+                break
+        else:
             kept.append(c)
     return kept
 
 
 def _intersect_packed(a: list[int], b: list[int]) -> list[int]:
-    return _minimize_packed(x | y for x in a for y in b)
+    """Minimal generators of the intersection: minimal lcms x | y.
+
+    A member x of a that some y in b divides is its own lcm with y and
+    divides every other lcm it takes part in, so it passes through as is;
+    likewise for b.  Only the members on neither side are paired.
+    """
+    passed, rest_a, rest_b = [], [], []
+    for x in a:
+        for y in b:
+            if x & y == y:
+                passed.append(x)
+                break
+        else:
+            rest_a.append(x)
+    for y in b:
+        for x in a:
+            if x & y == x:
+                passed.append(y)
+                break
+        else:
+            rest_b.append(y)
+    passed += [x | y for x in rest_a for y in rest_b]
+    return _minimize_packed(passed)
+
+
+def _colon_packed(a: list[int], g: Monomial, width: int) -> list[int]:
+    """Minimal generators of (a : g), for packed a and a monomial g.
+
+    Shifting a thermometer field right by one bit lowers its exponent by
+    one (and leaves 0 at 0).  Level l lowers every field i with g_i >= l,
+    so levels 1..max(g) lower field i by min(g_i, e_i): each member
+    becomes m / gcd(m, g).  A field never exceeds width - 1 ones, so
+    levels above width change nothing, and the top bit of every field is
+    0; masking with `low` drops the bit a field would shift into the top
+    of the field below it.
+    """
+    field = (1 << width) - 1
+    low = sum((field >> 1) << (i * width) for i in range(len(g)))
+    out = a
+    for level in range(1, min(max(g, default=0), width) + 1):
+        f = sum(field << (i * width) for i, e in enumerate(g) if e >= level)
+        keep = ~f
+        out = [(m & keep) | ((m & f) >> 1 & low) for m in out]
+    return _minimize_packed(out)
 
 
 # -- ideals ------------------------------------------------------------------
@@ -232,11 +281,10 @@ def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.is_zero():
         return zero_ideal(a.n)
     width = max(max(g, default=0) for g in a.gens) + 1
+    packed = [_encode(m, width) for m in a.gens]
     cur: list[int] | None = None
     for g in b.sorted_gens():
-        quotients = _minimize_packed(
-            _encode(colon_mono(m, g), width) for m in a.gens
-        )
+        quotients = _colon_packed(packed, g, width)
         cur = quotients if cur is None else _intersect_packed(cur, quotients)
     assert cur is not None
     return MonomialIdeal(a.n, frozenset(_decode(x, a.n, width) for x in cur))

@@ -170,8 +170,24 @@ class TestColon:
         assert code == 0 and "regular" in out
 
     def test_facets_input(self, capsys, infgen_file):
-        code, out, _ = run(capsys, "colon", infgen_file, "--json")
+        code, out, err = run(capsys, "colon", infgen_file, "--json")
         assert code == 0 and json.loads(out)["equal"] is False
+        assert err == ""
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_not_squarefree_note(self, capsys, tmp_path, q):
+        # x_V^{q-1} is never in I^[q]:I when a generator is not squarefree,
+        # so the identity fails with no offending generator to name.
+        p = tmp_path / "i.ideal"
+        p.write_text("n = 2\nx1^2\n")
+        code, out, err = run(capsys, "colon", str(p), "--q", q)
+        qm = int(q) - 1
+        assert code == 0
+        assert out == (f"lhs I^[{q}]:I = (x1^{2 * qm})\n"
+                       f"rhs I^[{q}] + (xV^{qm}) = ({'x1' if qm == 1 else f'x1^{qm}'})\n"
+                       "equal: no\n")
+        assert err == (f"note: the ideal is not squarefree, so xV^{qm} is not in "
+                       f"I^[{q}]:I and the paper's identity does not apply\n")
 
 
 class TestHomologyCommands:
@@ -272,6 +288,7 @@ class TestCrossValidate:
     ("cross-validate", "--n", "0"),
     ("cross-validate", "--n", "9", "--exhaustive"),
     ("cross-validate", "--n", "3", "--exhaustive", "--q-sweep", "x"),
+    ("cross-validate", "--n", "6", "--exhaustive"),
 ])
 def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
     code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))
