@@ -4,21 +4,28 @@ principally or infinitely generated.
 Two independent routes are implemented and cross-checked: an ideal
 identity on Frobenius-power colon ideals, and a free-face scan on the
 core of the complex.  A disagreement is a hard internal error.
+
+For a Stanley-Reisner ideal the colon I^[q] : I is read off the primary
+decomposition I = ∩_F (x_i : i ∉ F) over the facets F
+(`_sr_colon_pairs`), with no ideal arithmetic and for every q at once;
+only the nonfaces and the facets are read, never the free faces.  The
+general `monomials.colon` serves every other monomial ideal.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import monomials as mono
 from .complexes import (
     FreeFacePair,
     SimplicialComplex,
+    _bits,
     _minimal_transversals,
     core,
     face_key,
@@ -59,13 +66,111 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     for g in ideal.gens:
         if not mono.is_squarefree(g):
             raise ValueError(f"generator {mono.format_monomial(g)} is not squarefree")
-    # A set is a face iff its complement meets every generator support, so
-    # the facets are the complements of the minimal transversals (none for
-    # the unit ideal, which gives the complex {∅}).
-    supports = [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
+    return from_masks(_facets_of_ideal(ideal), ideal.n)
+
+
+def _supports(ideal: MonomialIdeal) -> list[int]:
+    return [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
+
+
+def _facets_of_ideal(ideal: MonomialIdeal) -> list[int]:
+    """The facets of the complex of a squarefree ideal, as bitmasks.
+
+    A set is a face iff its complement meets every generator support, so
+    the facets are the complements of the minimal transversals, an
+    antichain already (none for the unit ideal, whose complex is {∅}).
+    """
     full = (1 << ideal.n) - 1
-    return from_masks((full & ~t for t in _minimal_transversals(supports, ideal.n)),
-                      ideal.n)
+    return [full & ~t for t in _minimal_transversals(_supports(ideal), ideal.n)]
+
+
+def _sr_colon_pairs(facets: Iterable[int], nonfaces: Iterable[int],
+                    n: int) -> list[tuple[int, int]]:
+    """Minimal generators of I^[q] : I for the Stanley-Reisner ideal I of
+    a complex, as pairs (A, B) with B ⊆ A for x_B^q · x_{A∖B}^{q-1}.
+
+    With P_F = (x_i : i ∉ F) over the facets F, I = ∩_F P_F and so
+    I^[q] : I = ∩_F (P_F^[q] + (x_{[n]∖F}^{q-1})).  A monomial whose
+    exponents are >= q on B and >= q-1 on A lies in it iff B is a nonface
+    or A ⊇ A(B) = B ∪ ([n] ∖ cl(B)), where cl(B) is the intersection of
+    the facets containing B.  The minimal generators are therefore:
+    (V, ∅), V the non-cone vertices; (g, g) for each minimal nonface g,
+    unless A(g∖w) ⊆ g for some w ∈ g; and (A(B), B) for each nonempty
+    face B ⊆ V with a vertex of V in cl(B) ∖ B, unless A(B∖w) ⊆ A(B) for
+    some w ∈ B.  Only the last kind lies outside I^[q] + (x_V^{q-1}).
+
+    The faces B ⊆ V∖v with v ∈ cl(B) are closed upwards, so each lies
+    below a start (F∖v) ∩ V, F a facet containing v, whose closure holds
+    v, and is reached from it by dropping one vertex at a time.  No face
+    outside these descents is visited, and the pairs do not depend on q.
+    """
+    facets = list(facets)
+    nonfaces = list(nonfaces)
+    full = (1 << n) - 1
+    cone = full
+    for f in facets:
+        cone &= f
+    support = full & ~cone
+    a_of: dict[int, int] = {}
+
+    def a_set(b: int) -> int:
+        a = a_of.get(b)
+        if a is None:
+            closure = full
+            for f in facets:
+                if b & ~f == 0:
+                    closure &= f
+            a = a_of[b] = b | (full & ~closure)
+        return a
+
+    # (g, g) drops out iff the facets over g∖w all contain [n]∖g, which
+    # makes [n]∖{w} the one facet over g∖w.
+    dropped = 0
+    for f in facets:
+        if (full & ~f).bit_count() == 1:
+            dropped |= full & ~f
+    pairs = [(support, 0)] + [(g, g) for g in nonfaces if not g & dropped]
+    # v ∈ cl(D) for a face D avoiding v iff D ∪ (g∖v) is a nonface for
+    # every minimal nonface g ∋ v.  A minimal nonface h inside D ∪ (g∖v)
+    # avoids v and meets g∖v, so the test is h∖(g∖v) ⊆ D for some such h.
+    seen: set[int] = set()
+    for v in _bits(support):
+        avoid = [h for h in nonfaces if not h & v]
+        tests = []
+        for g in nonfaces:
+            if g & v:
+                r = g & ~v
+                tests.append([h & ~r for h in avoid if h & r])
+        if not all(tests):
+            continue
+        tests.sort(key=len)
+        for f in facets:
+            if f & v:
+                d = f & support & ~v
+                for rests in tests:
+                    for x in rests:
+                        if x & ~d == 0:
+                            break
+                    else:
+                        break
+                else:
+                    seen.add(d)
+    stack = list(seen)
+    while stack:
+        b = stack.pop()
+        a = a_set(b)
+        minimal = True
+        for w in _bits(b):
+            c = b & ~w
+            ac = a_set(c)
+            if ac & ~a == 0:
+                minimal = False
+            if c and support & ~ac and c not in seen:
+                seen.add(c)
+                stack.append(c)
+        if minimal:
+            pairs.append((a, b))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -80,17 +185,42 @@ class ColonIdentity:
         return self.lhs == self.rhs
 
     def offending(self) -> Iterator[Monomial]:
-        """Generators of the lhs outside the rhs, in sorted order."""
-        return (g for g in self.lhs.sorted_gens() if not mono.contains(self.rhs, g))
+        """Generators of the lhs outside the rhs, in sorted order.
+
+        The lhs contains the rhs, so a generator of the rhs is never one."""
+        rhs = self.rhs
+        return (g for g in self.lhs.sorted_gens()
+                if g not in rhs.gens and not mono.contains(rhs, g))
 
 
 def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
     """The colon-ideal identity of a monomial ideal, V = the variables
     dividing some generator (for a Stanley-Reisner ideal, the support
-    vertices of the complex)."""
+    vertices of the complex).
+
+    A squarefree proper ideal is the Stanley-Reisner ideal of
+    `complex_of_ideal(ideal)`, and its lhs comes from `_sr_colon_pairs` on
+    the facets of that complex; any other ideal (one with a generator that
+    is not squarefree, or the unit ideal) goes through the general
+    `monomials.colon`.
+    """
+    squarefree = not ideal.is_unit() and all(mono.is_squarefree(g) for g in ideal.gens)
+    return _colon_identity(ideal, q, _facets_of_ideal(ideal) if squarefree else None)
+
+
+def _colon_identity(ideal: MonomialIdeal, q: int,
+                    facets: Optional[Iterable[int]]) -> ColonIdentity:
+    """The identity, given the facets of the complex of a squarefree
+    proper ideal, or None for any other ideal."""
+    n = ideal.n
     frob = mono.frobenius_power(ideal, q)
-    lhs = mono.colon(frob, ideal)
-    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
+    if facets is None:
+        lhs = mono.colon(frob, ideal)
+    else:
+        lhs = MonomialIdeal(n, frozenset(
+            tuple(q if b >> i & 1 else (q - 1 if a >> i & 1 else 0) for i in range(n))
+            for a, b in _sr_colon_pairs(facets, _supports(ideal), n)))
+    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(n))
     return ColonIdentity(lhs, mono.add(frob, mono.principal(xv)))
 
 
@@ -111,7 +241,7 @@ def ideal_test(cx: SimplicialComplex, q: int = 2) -> IdealTest:
     if ideal.is_zero():
         # Full simplex: the ring is regular, short-circuit.
         return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, None, None, None)
-    identity = colon_identity(ideal, q)
+    identity = _colon_identity(ideal, q, cx.facets)
     if identity.holds:
         return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, identity.lhs, identity.rhs, None)
     return IdealTest(Verdict.INFINITELY_GENERATED, ideal, identity.lhs, identity.rhs,
@@ -176,6 +306,12 @@ def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vmap[i] for i in range(len(vmap)) if mask >> i & 1)
 
 
+def _colon_strings(test: IdealTest) -> dict:
+    """The report fields that print both sides of the colon identity."""
+    return {"colon_lhs": tuple(test.lhs.gens_strings()) if test.lhs else (),
+            "colon_rhs": tuple(test.rhs.gens_strings()) if test.rhs else ()}
+
+
 def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
     """Verdict from the colon-ideal identity on Δ itself (no core reduction)."""
     test = ideal_test(cx, q)
@@ -188,8 +324,7 @@ def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationRepor
         core_facets=_core_facets_original(cx),
         q=q,
         monomial_witness=mono.format_monomial(test.offending) if test.offending else None,
-        colon_lhs=tuple(test.lhs.gens_strings()) if test.lhs else (),
-        colon_rhs=tuple(test.rhs.gens_strings()) if test.rhs else (),
+        **_colon_strings(test),
     )
 
 
@@ -223,26 +358,16 @@ def classify(cx: SimplicialComplex, mode: str = "both", q: int = 2) -> Classific
         return classify_via_free_face(cx)
     if mode != "both":
         raise ValueError(f"unknown mode {mode!r}")
-    ri = classify_via_ideal(cx, q)
+    # The free-face report already holds V and the core facets; the ideal
+    # route adds only its verdict and the two sides of the identity.
+    test = ideal_test(cx, q)
     rf = classify_via_free_face(cx)
-    if ri.verdict != rf.verdict:
+    if test.verdict != rf.verdict:
         raise InconsistencyError(
-            f"criteria disagree on {cx!r}: ideal={ri.verdict.value}, "
+            f"criteria disagree on {cx!r}: ideal={test.verdict.value}, "
             f"free_face={rf.verdict.value}"
         )
-    return ClassificationReport(
-        verdict=ri.verdict,
-        method="both",
-        n=cx.n,
-        support_v=ri.support_v,
-        core_used=rf.core_used,
-        core_facets=ri.core_facets,
-        q=q,
-        free_face_witness=rf.free_face_witness,
-        monomial_witness=rf.monomial_witness,
-        colon_lhs=ri.colon_lhs,
-        colon_rhs=ri.colon_rhs,
-    )
+    return replace(rf, method="both", q=q, **_colon_strings(test))
 
 
 def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComplex:

@@ -8,6 +8,10 @@ lcm/gcd are bitwise or/and.  A monomial quotient a : g is a few masked
 right shifts of the packed a (one per exponent level of g), and an
 intersection pairs only the generators that no generator of the other
 side divides; the rest pass through unchanged.
+
+`colon` is the general engine: the colon identity uses it for ideals that
+are not squarefree, and the tests use it as the reference for the
+Stanley-Reisner colon in `cartier`, which needs no ideal arithmetic.
 """
 
 from __future__ import annotations

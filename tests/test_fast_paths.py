@@ -5,7 +5,9 @@ Each reference below is a direct scan: all 2^n subsets for the minimal
 nonfaces and for the complex of an ideal, all faces for the free faces and
 for an elementary collapse, and every quotient `colon_mono(m, g)` and
 pairwise lcm for an intersection or a colon.  The fast paths must return
-the same list in the same order.
+the same list in the same order.  The Stanley-Reisner colon kernel is
+checked against the general `colon` on small complexes, and against the
+definition of I^[q] : I on complexes too large for `colon`.
 """
 
 import random
@@ -14,7 +16,19 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from srcartier.cartier import classify, complex_of_ideal, enumerate_complexes, ideal_of_complex
+from srcartier import cartier
+from srcartier.cartier import (
+    Verdict,
+    _sr_colon_pairs,
+    classify,
+    colon_identity,
+    complex_of_ideal,
+    enumerate_complexes,
+    ideal_of_complex,
+    ideal_test,
+    random_complex,
+    trial_seed,
+)
 from srcartier.complexes import (
     FreeFacePair,
     SimplicialComplex,
@@ -25,23 +39,29 @@ from srcartier.complexes import (
     free_faces,
     from_masks,
     is_face,
+    join_with_simplex,
     minimal_nonfaces,
     vertex_mask,
 )
+from srcartier import complexes
 from srcartier.monomials import (
+    MonomialIdeal,
     _colon_packed,
     _encode,
     _intersect_packed,
     _minimize_packed,
     colon,
     colon_mono,
+    contains,
     frobenius_power,
     intersect,
     lcm_mono,
     minimize,
+    multiply,
     parse_monomial,
     principal,
     unit_ideal,
+    zero_ideal,
 )
 from test_properties import complexes
 
@@ -214,3 +234,166 @@ def test_classify_and_collapse_use_facets_only(monkeypatch):
     for cx in (cone_over_hollow, whiskered):
         classify(cx)
         collapse_greedy(cx)
+
+
+# -- the Stanley-Reisner colon kernel against the general colon -------------
+
+def pair_monomial(a, b, q, n):
+    return tuple(q if b >> i & 1 else (q - 1 if a >> i & 1 else 0) for i in range(n))
+
+
+def sr_colon(cx, q):
+    """I^[q] : I from the kernel's pairs; duplicate pairs are an error."""
+    pairs = _sr_colon_pairs(cx.facets, minimal_nonfaces(cx), cx.n)
+    assert len(set(pairs)) == len(pairs)
+    for a, b in pairs:
+        assert b & ~a == 0
+    return MonomialIdeal(cx.n, frozenset(pair_monomial(a, b, q, cx.n) for a, b in pairs))
+
+
+def general_colon(cx, q):
+    ideal = ideal_of_complex(cx)
+    return colon(frobenius_power(ideal, q), ideal)
+
+
+def test_sr_colon_matches_the_colon_on_every_small_complex(small_complexes):
+    # A MonomialIdeal compares its generator sets, so a surplus (not
+    # minimal) kernel generator fails too.
+    for cx in small_complexes:
+        for q in (2, 3):
+            assert sr_colon(cx, q) == general_colon(cx, q), (cx, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_n=9))
+def test_sr_colon_matches_the_colon_on_strategy_complexes(cx):
+    for q in (2, 3, 5):
+        assert sr_colon(cx, q) == general_colon(cx, q)
+
+
+def test_sr_colon_drops_a_frobenius_generator():
+    # I = (x1*x2): x1^2*x2^2 is a generator of I^[2] but x1*x2 divides it.
+    cx = build_complex([[1], [2]], 2)
+    assert _sr_colon_pairs(cx.facets, minimal_nonfaces(cx), 2) == [(0b11, 0)]
+    assert sr_colon(cx, 2).gens_strings() == ["x1*x2"]
+    assert sr_colon(cx, 2) == general_colon(cx, 2)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_sr_colon_of_the_full_simplex_is_the_unit_ideal(n):
+    cx = build_complex([range(1, n + 1)], n)
+    assert _sr_colon_pairs(cx.facets, minimal_nonfaces(cx), n) == [(0, 0)]
+    assert sr_colon(cx, 2) == unit_ideal(n)
+    assert colon_identity(zero_ideal(n), 2).lhs == unit_ideal(n)
+    assert colon_identity(zero_ideal(n), 2).holds
+
+
+@pytest.mark.parametrize("facets, n", [
+    ([[1], [2]], 2),
+    ([[1, 3], [2]], 3),
+    ([[1, 2], [1, 3], [2, 3]], 3),
+    ([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 5], [2, 5]], 5),
+])
+def test_sr_colon_never_uses_a_cone_vertex(facets, n):
+    base = build_complex(facets, n)
+    cx = join_with_simplex(base, 2)
+    cone = ((1 << cx.n) - 1) & ~((1 << n) - 1)
+    pairs = _sr_colon_pairs(cx.facets, minimal_nonfaces(cx), cx.n)
+    assert pairs and all(not (a | b) & cone for a, b in pairs)
+    assert sorted(pairs) == sorted(_sr_colon_pairs(base.facets, minimal_nonfaces(base), n))
+    for q in (2, 3):
+        assert sr_colon(cx, q) == general_colon(cx, q)
+
+
+@pytest.mark.parametrize("text", [
+    "x1*x2, x2*x3", "x1*x2*x3", "x1, x2*x3", "x1*x4, x2*x4, x3*x5",
+])
+def test_colon_identity_of_an_ideal_matches_the_colon(text):
+    ideal = minimize([parse_monomial(t, 5) for t in text.split(",")], 5)
+    for q in (2, 3):
+        assert colon_identity(ideal, q).lhs == colon(frobenius_power(ideal, q), ideal)
+
+
+def test_colon_identity_of_the_unit_ideal():
+    identity = colon_identity(unit_ideal(3), 2)
+    assert identity.lhs == unit_ideal(3) and identity.holds
+
+
+def test_ideal_test_reads_no_free_face_logic(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ideal criterion used free-face logic")
+
+    for name in ("free_faces", "is_free_face_pair", "core", "classify_via_free_face"):
+        monkeypatch.setattr(cartier, name, forbidden)
+        monkeypatch.setattr(complexes, name, forbidden, raising=False)
+    monkeypatch.setattr(SimplicialComplex, "faces", forbidden)
+    infgen = [build_complex([[1, 3], [2]], 3),
+              build_complex([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3, 6]], 6)]
+    pg = [build_complex([[1, 2, 4], [2, 3, 4], [1, 3, 4]], 4),
+          build_complex([[1, 2], [2, 3]], 3),
+          build_complex([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 5], [2, 5]], 5)]
+    for q in (2, 3):
+        for cx in infgen:
+            test = ideal_test(cx, q)
+            assert test.verdict is Verdict.INFINITELY_GENERATED and test.offending
+        for cx in pg:
+            assert ideal_test(cx, q).verdict is Verdict.PRINCIPALLY_GENERATED
+
+
+# -- the kernel on complexes too large for the general colon --------------
+
+class ColonByDefinition:
+    """m ∈ I^[q] : I iff m·x_g ∈ I^[q] for every minimal nonface g.
+
+    A monomial u lies in I^[q] iff its variables of exponent >= q contain
+    a minimal nonface.  For u = m·x_g those are the variables where
+    m_i >= q, and those of g where m_i >= q - 1.  Nonface tests are cached
+    by vertex set.
+    """
+
+    def __init__(self, nonfaces, q):
+        self.nonfaces = nonfaces
+        self.q = q
+        self.is_nonface = {}
+
+    def nonface(self, s):
+        hit = self.is_nonface.get(s)
+        if hit is None:
+            hit = self.is_nonface[s] = any(h & ~s == 0 for h in self.nonfaces)
+        return hit
+
+    def __contains__(self, m):
+        high = sum(1 << i for i, e in enumerate(m) if e >= self.q)
+        mid = sum(1 << i for i, e in enumerate(m) if e >= self.q - 1)
+        return all(self.nonface(high | (mid & g)) for g in self.nonfaces)
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_sr_colon_meets_the_definition_on_large_random_complexes(n):
+    q = 2
+    cx = random_complex(n, 0.15, trial_seed(42, n, 0))
+    nonfaces = minimal_nonfaces(cx)
+    ideal = ideal_of_complex(cx)
+    frob = frobenius_power(ideal, q)
+    lhs = ideal_test(cx, q).lhs
+    gens = lhs.sorted_gens()
+    in_colon = ColonByDefinition(nonfaces, q)
+    # Membership, spot-checked against the ideal arithmetic as well.
+    for k, m in enumerate(gens):
+        assert m in in_colon
+        if k % 400 == 0:
+            assert all(contains(frob, multiply(m, g)) for g in ideal.gens)
+    # Minimality: no generator divided by a variable is still in the colon.
+    for m in gens:
+        for i, e in enumerate(m):
+            if e:
+                assert m[:i] + (e - 1,) + m[i + 1:] not in in_colon
+    # Completeness: a monomial is in the colon iff a generator divides it.
+    rng = random.Random(n)
+    hits = 0
+    for _ in range(500):
+        m = tuple(rng.randint(0, q) for _ in range(n))
+        member = m in in_colon
+        hits += member
+        assert member == contains(lhs, m)
+    assert 0 < hits < 500
