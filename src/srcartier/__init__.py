@@ -55,12 +55,9 @@ from .monomials import (
     divides,
     format_monomial,
     frobenius_power,
-    intersect,
     minimize,
     parse_monomial,
     principal,
-    supp,
-    supp_two,
 )
 
 __version__ = "0.1.0"

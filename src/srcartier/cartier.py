@@ -227,7 +227,6 @@ def _colon_identity(ideal: MonomialIdeal, q: int,
 @dataclass(frozen=True)
 class IdealTest:
     verdict: Verdict
-    ideal: MonomialIdeal
     lhs: Optional[MonomialIdeal]    # I^[q] : I
     rhs: Optional[MonomialIdeal]    # I^[q] + ((prod_V x_i)^{q-1})
     offending: Optional[Monomial]   # a generator of lhs outside rhs
@@ -240,11 +239,11 @@ def ideal_test(cx: SimplicialComplex, q: int = 2) -> IdealTest:
     ideal = ideal_of_complex(cx)
     if ideal.is_zero():
         # Full simplex: the ring is regular, short-circuit.
-        return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, None, None, None)
+        return IdealTest(Verdict.PRINCIPALLY_GENERATED, None, None, None)
     identity = _colon_identity(ideal, q, cx.facets)
     if identity.holds:
-        return IdealTest(Verdict.PRINCIPALLY_GENERATED, ideal, identity.lhs, identity.rhs, None)
-    return IdealTest(Verdict.INFINITELY_GENERATED, ideal, identity.lhs, identity.rhs,
+        return IdealTest(Verdict.PRINCIPALLY_GENERATED, identity.lhs, identity.rhs, None)
+    return IdealTest(Verdict.INFINITELY_GENERATED, identity.lhs, identity.rhs,
                      next(identity.offending()))
 
 
@@ -270,12 +269,10 @@ def witness_monomial(cx: SimplicialComplex, pair: FreeFacePair) -> Monomial:
 @dataclass(frozen=True)
 class ClassificationReport:
     verdict: Verdict
-    method: str                     # "ideal" | "free_face" | "both"
     n: int
     support_v: tuple[int, ...]
     core_used: bool
     core_facets: tuple[tuple[int, ...], ...]   # original vertex labels
-    q: int = 2
     free_face_witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     monomial_witness: Optional[str] = None     # core coordinates
     colon_lhs: tuple[str, ...] = ()
@@ -317,12 +314,10 @@ def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationRepor
     test = ideal_test(cx, q)
     return ClassificationReport(
         verdict=test.verdict,
-        method="ideal",
         n=cx.n,
         support_v=mask_vertices(support_vertices(cx)),
         core_used=False,
         core_facets=_core_facets_original(cx),
-        q=q,
         monomial_witness=mono.format_monomial(test.offending) if test.offending else None,
         **_colon_strings(test),
     )
@@ -340,7 +335,6 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
         monomial = mono.format_monomial(witness_monomial(core_cx, first))
     return ClassificationReport(
         verdict=Verdict.INFINITELY_GENERATED if pairs else Verdict.PRINCIPALLY_GENERATED,
-        method="free_face",
         n=cx.n,
         support_v=mask_vertices(support_vertices(cx)),
         core_used=len(vmap) != cx.n,
@@ -350,14 +344,8 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
     )
 
 
-def classify(cx: SimplicialComplex, mode: str = "both", q: int = 2) -> ClassificationReport:
-    """Run one or both criteria; in mode "both" they must agree."""
-    if mode == "ideal":
-        return classify_via_ideal(cx, q)
-    if mode == "free_face":
-        return classify_via_free_face(cx)
-    if mode != "both":
-        raise ValueError(f"unknown mode {mode!r}")
+def classify(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
+    """Run both criteria; they must agree."""
     # The free-face report already holds V and the core facets; the ideal
     # route adds only its verdict and the two sides of the identity.
     test = ideal_test(cx, q)
@@ -367,7 +355,7 @@ def classify(cx: SimplicialComplex, mode: str = "both", q: int = 2) -> Classific
             f"criteria disagree on {cx!r}: ideal={test.verdict.value}, "
             f"free_face={rf.verdict.value}"
         )
-    return replace(rf, method="both", q=q, **_colon_strings(test))
+    return replace(rf, **_colon_strings(test))
 
 
 def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComplex:
@@ -386,11 +374,11 @@ def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComp
     return from_masks(cands, n)
 
 
-def enumerate_complexes(n: int, limit: int = EXHAUSTIVE_MAX_N) -> Iterator[SimplicialComplex]:
+def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
     """Every simplicial complex on [n]: all antichains of nonempty subsets,
-    plus {∅}.  Exhaustive use is intended for small n only."""
-    if n > limit:
-        raise ValueError(f"exhaustive enumeration capped at n={limit}")
+    plus {∅}, for n <= EXHAUSTIVE_MAX_N."""
+    if n > EXHAUSTIVE_MAX_N:
+        raise ValueError(f"exhaustive enumeration capped at n={EXHAUSTIVE_MAX_N}")
     yield SimplicialComplex(n, frozenset({0}))
     subs = sorted(range(1, 1 << n), key=face_key)
 

@@ -100,7 +100,7 @@ def _check_q(q: int) -> int:
 
 def cmd_classify(args) -> int:
     cx = _load_complex(args)
-    report = cl.classify(cx, mode="both", q=_check_q(args.q))
+    report = cl.classify(cx, q=_check_q(args.q))
     d = report.to_json_dict()
     lines = [
         f"verdict: {'principally generated' if report.verdict is Verdict.PRINCIPALLY_GENERATED else 'infinitely generated'}",
@@ -259,6 +259,8 @@ def _parse_q_sweep(text: str | None) -> tuple[int, ...] | None:
 
 def cmd_cross_validate(args) -> int:
     q_sweep = _parse_q_sweep(args.q_sweep)
+    if args.trials < 1:
+        raise InputError(f"--trials {args.trials} must be >= 1")
     if args.single_n is not None:
         lo, hi = (0, cl.EXHAUSTIVE_MAX_N) if args.exhaustive else (1, cl.RANDOM_MAX_N)
         if not lo <= args.single_n <= hi:

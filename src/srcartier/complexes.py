@@ -73,10 +73,6 @@ class FreeFacePair(NamedTuple):
     free_face: int
     facet: int
 
-    @property
-    def added_vertex(self) -> int:
-        return mask_vertices(self.facet & ~self.free_face)[0]
-
 
 class CoreResult(NamedTuple):
     complex: "SimplicialComplex"

@@ -22,7 +22,6 @@ from .complexes import (
     contrastar,
     deletion,
     dimension,
-    face_key,
     free_faces,
     FreeFacePair,
     is_face,
@@ -148,7 +147,7 @@ def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
     for f in face_basis:
         basis.setdefault(f.bit_count() - 1, []).append(f)
     for k in basis:
-        basis[k].sort(key=face_key)
+        basis[k].sort()
     index = {f: i for k in basis for i, f in enumerate(basis[k])}
     boundaries = {
         k: [{index[sub]: sign % p for sub, sign in _boundary_terms(f) if sub in face_basis}
@@ -185,11 +184,6 @@ def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, in
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
     return dict(_reduced_betti_cached(cx.facets, p))
-
-
-def euler_characteristic_reduced(cx: SimplicialComplex) -> int:
-    """Alternating face count, empty face included (so {∅} gives -1)."""
-    return sum(-1 if (f.bit_count() - 1) % 2 else 1 for f in cx.faces())
 
 
 def relative_betti(cx: SimplicialComplex, sub: SimplicialComplex, p: int = 2) -> dict[int, int]:

@@ -1,13 +1,13 @@
 """Exact arithmetic of monomials and monomial ideals in n variables.
 
 A monomial is a tuple of n non-negative exponents.  Ideals are kept as
-minimal generating sets.  The heavy set operations (minimize, intersect,
-colon) run on a packed encoding: each exponent e is stored as a run of e
-one-bits (a thermometer code), so that divisibility is a submask test and
-lcm/gcd are bitwise or/and.  A monomial quotient a : g is a few masked
-right shifts of the packed a (one per exponent level of g), and an
-intersection pairs only the generators that no generator of the other
-side divides; the rest pass through unchanged.
+minimal generating sets.  `minimize` and `colon` run on a packed
+encoding: each exponent e is stored as a run of e one-bits (a thermometer
+code), so that divisibility is a submask test and lcm is a bitwise or.
+`colon` intersects the quotients by each generator: a monomial quotient
+a : g is a few masked right shifts of the packed a (one per exponent
+level of g), and an intersection pairs only the generators that no
+generator of the other side divides; the rest pass through unchanged.
 
 `colon` is the general engine: the colon identity uses it for ideals that
 are not squarefree, and the tests use it as the reference for the
@@ -35,16 +35,6 @@ def divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def lcm_mono(a: Monomial, b: Monomial) -> Monomial:
-    _check_same_n(a, b)
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def gcd_mono(a: Monomial, b: Monomial) -> Monomial:
-    _check_same_n(a, b)
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def multiply(a: Monomial, b: Monomial) -> Monomial:
     _check_same_n(a, b)
     out = tuple(x + y for x, y in zip(a, b))
@@ -53,26 +43,10 @@ def multiply(a: Monomial, b: Monomial) -> Monomial:
     return out
 
 
-def colon_mono(a: Monomial, g: Monomial) -> Monomial:
-    """The monomial quotient a : g, i.e. a / gcd(a, g)."""
-    _check_same_n(a, g)
-    return tuple(max(x - y, 0) for x, y in zip(a, g))
-
-
 def power(a: Monomial, q: int) -> Monomial:
     if any(e * q > EXPONENT_CAP for e in a):
         raise OverflowError(f"exponent exceeds cap {EXPONENT_CAP}")
     return tuple(e * q for e in a)
-
-
-def supp(m: Monomial) -> frozenset[int]:
-    """Indices (1-based) of the variables dividing m."""
-    return frozenset(i + 1 for i, e in enumerate(m) if e)
-
-
-def supp_two(m: Monomial) -> frozenset[int]:
-    """Indices whose exponent is at least 2."""
-    return frozenset(i + 1 for i, e in enumerate(m) if e >= 2)
 
 
 def unit_monomial(n: int) -> Monomial:
@@ -261,18 +235,6 @@ def add(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if a.n != b.n:
         raise ValueError("ambient mismatch")
     return minimize(list(a.gens) + list(b.gens), a.n)
-
-
-def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    if a.is_zero() or b.is_zero():
-        return zero_ideal(a.n)
-    width = max(max(max(g) for g in a.gens), max(max(g) for g in b.gens)) + 1
-    pa = [_encode(g, width) for g in a.gens]
-    pb = [_encode(g, width) for g in b.gens]
-    out = _intersect_packed(pa, pb)
-    return MonomialIdeal(a.n, frozenset(_decode(x, a.n, width) for x in out))
 
 
 def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from srcartier.cartier import (
+    _DENSITIES,
     classify,
     classify_via_free_face,
     classify_via_ideal,
@@ -45,8 +46,6 @@ from srcartier.monomials import (
 )
 
 PG = Verdict.PRINCIPALLY_GENERATED
-
-_DENSITIES = (0.15, 0.3, 0.5, 0.7, 0.85)
 
 
 def verdict_line(num, ok, detail):

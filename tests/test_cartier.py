@@ -142,7 +142,7 @@ class TestWitnessMonomial:
 class TestClassify:
     def test_whiskered_tetra_both(self, whiskered_tetra):
         report = classify(whiskered_tetra)
-        assert report.verdict is PG and report.method == "both"
+        assert report.verdict is PG
 
     def test_vertex_and_edge_both(self, vertex_and_edge):
         report = classify(vertex_and_edge)
@@ -160,14 +160,6 @@ class TestClassify:
                           "facet", "witness_monomial", "colon_lhs", "colon_rhs"}
         assert d["verdict"] == "infgen"
         assert d["free_face"] == [1] and d["facet"] == [1, 3]
-
-    def test_single_mode(self, whiskered_tetra):
-        assert classify(whiskered_tetra, mode="ideal").method == "ideal"
-        assert classify(whiskered_tetra, mode="free_face").method == "free_face"
-
-    def test_unknown_mode(self, whiskered_tetra):
-        with pytest.raises(ValueError):
-            classify(whiskered_tetra, mode="quick")
 
     def test_disagreement_raises(self, vertex_and_edge, monkeypatch):
         good = classify_via_free_face(vertex_and_edge)

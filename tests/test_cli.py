@@ -289,6 +289,8 @@ class TestCrossValidate:
     ("cross-validate", "--n", "9", "--exhaustive"),
     ("cross-validate", "--n", "3", "--exhaustive", "--q-sweep", "x"),
     ("cross-validate", "--n", "6", "--exhaustive"),
+    ("cross-validate", "--n", "6", "--trials", "0"),
+    ("cross-validate", "--trials", "-1"),
 ])
 def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
     code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))

@@ -47,15 +47,13 @@ from srcartier import complexes
 from srcartier.monomials import (
     MonomialIdeal,
     _colon_packed,
+    _decode,
     _encode,
     _intersect_packed,
     _minimize_packed,
     colon,
-    colon_mono,
     contains,
     frobenius_power,
-    intersect,
-    lcm_mono,
     minimize,
     multiply,
     parse_monomial,
@@ -101,6 +99,25 @@ def complex_of_ideal_scan(ideal):
 
 def elementary_collapse_faces(cx, pair):
     return from_masks(cx.faces() - {pair.free_face, pair.facet}, cx.n)
+
+
+def colon_mono(a, g):
+    """The monomial quotient a : g, i.e. a / gcd(a, g)."""
+    return tuple(max(x - y, 0) for x, y in zip(a, g))
+
+
+def lcm_mono(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def test_colon_mono():
+    m = parse_monomial
+    assert colon_mono(m("x1^2*x2^2", 2), m("x1*x2", 2)) == m("x1*x2", 2)
+
+
+def test_lcm():
+    m = parse_monomial
+    assert lcm_mono(m("x1*x2", 3), m("x2*x3^2", 3)) == m("x1*x2*x3^2", 3)
 
 
 def intersect_product(a, b):
@@ -176,9 +193,10 @@ def test_intersect_matches_the_product():
     for a, b in random_pairs(11, 400):
         pa = [_encode(g, 4) for g in a.gens]
         pb = [_encode(g, 4) for g in b.gens]
-        assert sorted(_intersect_packed(pa, pb)) == sorted(intersect_product(pa, pb))
+        got = _intersect_packed(pa, pb)
+        assert sorted(got) == sorted(intersect_product(pa, pb))
         expected = minimize([lcm_mono(x, y) for x in a.gens for y in b.gens], a.n)
-        assert intersect(a, b) == expected
+        assert MonomialIdeal(a.n, frozenset(_decode(x, a.n, 4) for x in got)) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3])

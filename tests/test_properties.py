@@ -42,9 +42,17 @@ from srcartier.monomials import (
     minimize,
     multiply,
     principal,
-    supp,
-    supp_two,
 )
+
+
+def supp(m):
+    """Indices (1-based) of the variables dividing m."""
+    return frozenset(i + 1 for i, e in enumerate(m) if e)
+
+
+def supp_two(m):
+    """Indices whose exponent is at least 2."""
+    return frozenset(i + 1 for i, e in enumerate(m) if e >= 2)
 
 
 @st.composite
