@@ -1,9 +1,11 @@
 """Deciding whether the Cartier algebra of a Stanley-Reisner ring is
 principally or infinitely generated.
 
-Two independent routes are implemented and cross-checked: an ideal
-identity on Frobenius-power colon ideals, and a free-face scan on the
-core of the complex.  A disagreement is a hard internal error.
+Two independent routes run once per complex and are cross-checked:
+`ideal_test` gives the `ColonIdentity` I^[q] : I = I^[q] + (x_V^{q-1}),
+and `free_face_scan` the free faces of the core.  Each result carries its
+verdict; a disagreement is a hard internal error.  The harness checks the
+witness monomial of the scan's first pair on the scan's own core.
 
 For a Stanley-Reisner ideal the colon I^[q] : I is read off the primary
 decomposition I = ∩_F (x_i : i ∉ F) over the facets F
@@ -184,6 +186,11 @@ class ColonIdentity:
     def holds(self) -> bool:
         return self.lhs == self.rhs
 
+    @property
+    def verdict(self) -> Verdict:
+        """The verdict the identity gives for a Stanley-Reisner ideal."""
+        return Verdict.PRINCIPALLY_GENERATED if self.holds else Verdict.INFINITELY_GENERATED
+
     def offending(self) -> Iterator[Monomial]:
         """Generators of the lhs outside the rhs, in sorted order.
 
@@ -224,27 +231,12 @@ def _colon_identity(ideal: MonomialIdeal, q: int,
     return ColonIdentity(lhs, mono.add(frob, mono.principal(xv)))
 
 
-@dataclass(frozen=True)
-class IdealTest:
-    verdict: Verdict
-    lhs: Optional[MonomialIdeal]    # I^[q] : I
-    rhs: Optional[MonomialIdeal]    # I^[q] + ((prod_V x_i)^{q-1})
-    offending: Optional[Monomial]   # a generator of lhs outside rhs
-
-
-def ideal_test(cx: SimplicialComplex, q: int = 2) -> IdealTest:
-    """The colon-ideal criterion with the support-vertex product on the right."""
+def ideal_test(cx: SimplicialComplex, q: int = 2) -> ColonIdentity:
+    """The colon-ideal criterion with the support-vertex product on the right.
+    For the full simplex (zero ideal) both sides are the unit ideal."""
     if q < 2:
         raise ValueError(f"q={q} must be >= 2")
-    ideal = ideal_of_complex(cx)
-    if ideal.is_zero():
-        # Full simplex: the ring is regular, short-circuit.
-        return IdealTest(Verdict.PRINCIPALLY_GENERATED, None, None, None)
-    identity = _colon_identity(ideal, q, cx.facets)
-    if identity.holds:
-        return IdealTest(Verdict.PRINCIPALLY_GENERATED, identity.lhs, identity.rhs, None)
-    return IdealTest(Verdict.INFINITELY_GENERATED, identity.lhs, identity.rhs,
-                     next(identity.offending()))
+    return _colon_identity(ideal_of_complex(cx), q, cx.facets)
 
 
 def witness_monomial(cx: SimplicialComplex, pair: FreeFacePair) -> Monomial:
@@ -271,7 +263,6 @@ class ClassificationReport:
     verdict: Verdict
     n: int
     support_v: tuple[int, ...]
-    core_used: bool
     core_facets: tuple[tuple[int, ...], ...]   # original vertex labels
     free_face_witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
     monomial_witness: Optional[str] = None     # core coordinates
@@ -303,41 +294,61 @@ def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vmap[i] for i in range(len(vmap)) if mask >> i & 1)
 
 
-def _colon_strings(test: IdealTest) -> dict:
-    """The report fields that print both sides of the colon identity."""
-    return {"colon_lhs": tuple(test.lhs.gens_strings()) if test.lhs else (),
-            "colon_rhs": tuple(test.rhs.gens_strings()) if test.rhs else ()}
+def _colon_strings(identity: ColonIdentity) -> dict:
+    """The report fields for both sides of the identity; none for the full
+    simplex, the one complex whose I^[q] : I is the unit ideal."""
+    if identity.lhs.is_unit():
+        return {}
+    return {"colon_lhs": tuple(identity.lhs.gens_strings()),
+            "colon_rhs": tuple(identity.rhs.gens_strings())}
 
 
 def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
     """Verdict from the colon-ideal identity on Δ itself (no core reduction)."""
-    test = ideal_test(cx, q)
+    identity = ideal_test(cx, q)
+    offending = next(identity.offending(), None)
     return ClassificationReport(
-        verdict=test.verdict,
+        verdict=identity.verdict,
         n=cx.n,
         support_v=mask_vertices(support_vertices(cx)),
-        core_used=False,
         core_facets=_core_facets_original(cx),
-        monomial_witness=mono.format_monomial(test.offending) if test.offending else None,
-        **_colon_strings(test),
+        monomial_witness=mono.format_monomial(offending) if offending else None,
+        **_colon_strings(identity),
     )
+
+
+@dataclass(frozen=True)
+class FreeFaceScan:
+    """The core of Δ, its vertex map (new -> original) and its free faces."""
+
+    core: SimplicialComplex
+    vmap: tuple[int, ...]
+    pairs: list[FreeFacePair]
+
+    @property
+    def verdict(self) -> Verdict:
+        """Δ is infinitely generated iff its core has a free face."""
+        return Verdict.INFINITELY_GENERATED if self.pairs else Verdict.PRINCIPALLY_GENERATED
+
+
+def free_face_scan(cx: SimplicialComplex) -> FreeFaceScan:
+    """The combinatorial criterion: the free faces of the core of Δ."""
+    core_cx, vmap = core(cx)
+    return FreeFaceScan(core_cx, vmap, free_faces(core_cx))
 
 
 def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
     """Verdict from the free-face scan, applied to the core of Δ."""
-    core_cx, vmap = core(cx)
-    pairs = free_faces(core_cx)
-    witness = None
-    monomial = None
-    if pairs:
-        first = pairs[0]
-        witness = (_relabel(first.free_face, vmap), _relabel(first.facet, vmap))
-        monomial = mono.format_monomial(witness_monomial(core_cx, first))
+    scan = free_face_scan(cx)
+    witness = monomial = None
+    if scan.pairs:
+        first = scan.pairs[0]
+        witness = (_relabel(first.free_face, scan.vmap), _relabel(first.facet, scan.vmap))
+        monomial = mono.format_monomial(witness_monomial(scan.core, first))
     return ClassificationReport(
-        verdict=Verdict.INFINITELY_GENERATED if pairs else Verdict.PRINCIPALLY_GENERATED,
+        verdict=scan.verdict,
         n=cx.n,
         support_v=mask_vertices(support_vertices(cx)),
-        core_used=len(vmap) != cx.n,
         core_facets=_core_facets_original(cx),
         free_face_witness=witness,
         monomial_witness=monomial,
@@ -348,14 +359,14 @@ def classify(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
     """Run both criteria; they must agree."""
     # The free-face report already holds V and the core facets; the ideal
     # route adds only its verdict and the two sides of the identity.
-    test = ideal_test(cx, q)
+    identity = ideal_test(cx, q)
     rf = classify_via_free_face(cx)
-    if test.verdict != rf.verdict:
+    if identity.verdict != rf.verdict:
         raise InconsistencyError(
-            f"criteria disagree on {cx!r}: ideal={test.verdict.value}, "
+            f"criteria disagree on {cx!r}: ideal={identity.verdict.value}, "
             f"free_face={rf.verdict.value}"
         )
-    return replace(rf, **_colon_strings(test))
+    return replace(rf, **_colon_strings(identity))
 
 
 def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComplex:
@@ -432,17 +443,11 @@ def count_complexes_oracle(n: int) -> int:
     return total - 1
 
 
-def _witness_contract_holds(cx: SimplicialComplex) -> bool:
-    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x^1) on the core, for the first pair.
-
-    Membership in the colon is tested by its definition: m·g ∈ I^[2] for
-    every generator g of I.
-    """
-    core_cx, _ = core(cx)
-    pairs = free_faces(core_cx)
-    if not pairs:
-        return False
-    m = witness_monomial(core_cx, pairs[0])
+def _witness_contract_holds(core_cx: SimplicialComplex, pair: FreeFacePair) -> bool:
+    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x^1) on a core, m the witness
+    monomial of one of its free-face pairs.  Membership in the colon is
+    tested by its definition: m·g ∈ I^[2] for every generator g of I."""
+    m = witness_monomial(core_cx, pair)
     ideal = ideal_of_complex(core_cx)
     frob = mono.frobenius_power(ideal, 2)
     in_lhs = all(mono.contains(frob, mono.multiply(m, g)) for g in ideal.gens)
@@ -491,18 +496,18 @@ def trial_seed(seed: int, n: int, index: int) -> int:
 def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
                label: str, q_sweep: tuple[int, ...] | None):
     vi = ideal_test(cx, 2).verdict
-    vf = classify_via_free_face(cx).verdict
+    scan = free_face_scan(cx)
     report.total += 1
-    if vi != vf:
+    if vi != scan.verdict:
         report.mismatches.append(
-            {"complex": label, "ideal": vi.value, "free_face": vf.value})
+            {"complex": label, "ideal": vi.value, "free_face": scan.verdict.value})
         return
     if vi is Verdict.PRINCIPALLY_GENERATED:
         report.pg += 1
     else:
         report.infgen += 1
         report.witness_checked += 1
-        if not _witness_contract_holds(cx):
+        if not _witness_contract_holds(scan.core, scan.pairs[0]):
             report.witness_violations.append({"complex": label})
     if q_sweep:
         report.q_sweep_checked += 1

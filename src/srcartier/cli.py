@@ -261,15 +261,15 @@ def cmd_cross_validate(args) -> int:
     q_sweep = _parse_q_sweep(args.q_sweep)
     if args.trials < 1:
         raise InputError(f"--trials {args.trials} must be >= 1")
+    if args.exhaustive and args.single_n is None:
+        raise InputError("--exhaustive needs --n")
     if args.single_n is not None:
         lo, hi = (0, cl.EXHAUSTIVE_MAX_N) if args.exhaustive else (1, cl.RANDOM_MAX_N)
         if not lo <= args.single_n <= hi:
             mode = "exhaustive" if args.exhaustive else "random"
             raise InputError(f"--n {args.single_n} outside [{lo}, {hi}] for {mode} trials")
-        if args.exhaustive:
-            exhaustive, rand = (args.single_n,), ()
-        else:
-            exhaustive, rand = (), (args.single_n,)
+        ns = (args.single_n,)
+        exhaustive, rand = (ns, ()) if args.exhaustive else ((), ns)
     else:
         exhaustive, rand = (1, 2, 3, 4, 5), (6, 7, 8)
     report = cl.cross_validate(

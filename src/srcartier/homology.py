@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .complexes import (
     SimplicialComplex,
@@ -237,17 +237,19 @@ def relative_map_is_surjective(
     return RankCertificate(rank_map == target_dim, rank_map, target_dim)
 
 
-def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
-    """Reisner's criterion: links have no reduced homology below their dim."""
-    if not is_pure(cx):
-        return False
+def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
+    """(dim lk F, reduced Betti numbers of lk F over GF(p)) for each face F,
+    lazily.  The Betti numbers sit in degrees -1..dim lk F."""
     for face in cx.faces():
         lk = link(cx, face)
-        d = dimension(lk)
-        betti = reduced_betti(lk, p)
-        if any(betti.get(i, 0) for i in range(-1, d)):
-            return False
-    return True
+        yield dimension(lk), reduced_betti(lk, p)
+
+
+def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
+    """Reisner's criterion: links have no reduced homology below their dim."""
+    # Betti numbers are nonnegative, so the sum is the top one iff the rest vanish.
+    return is_pure(cx) and all(
+        sum(betti.values()) == betti[d] for d, betti in _link_betti(cx, p))
 
 
 def is_doubly_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
@@ -268,17 +270,8 @@ def is_doubly_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
 def is_gorenstein_star(cx: SimplicialComplex, p: int = 2) -> bool:
     """Every link is a homology sphere over GF(p) (vanishing below the top,
     one-dimensional on top)."""
-    if not is_pure(cx):
-        return False
-    for face in cx.faces():
-        lk = link(cx, face)
-        d = dimension(lk)
-        betti = reduced_betti(lk, p)
-        if any(betti.get(i, 0) for i in range(-1, d)):
-            return False
-        if betti.get(d, 0) != 1:
-            return False
-    return True
+    return is_pure(cx) and all(
+        sum(betti.values()) == betti[d] == 1 for d, betti in _link_betti(cx, p))
 
 
 def is_gorenstein(cx: SimplicialComplex, p: int = 2) -> bool:

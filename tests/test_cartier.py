@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from srcartier.cartier import (
@@ -10,6 +12,7 @@ from srcartier.cartier import (
     count_complexes_oracle,
     cross_validate,
     enumerate_complexes,
+    free_face_scan,
     ideal_of_complex,
     random_complex,
     witness_monomial,
@@ -96,9 +99,7 @@ class TestIdealCriterion:
 
 class TestFreeFaceCriterion:
     def test_whiskered_tetra(self, whiskered_tetra):
-        report = classify_via_free_face(whiskered_tetra)
-        assert report.verdict is PG
-        assert not report.core_used
+        assert classify_via_free_face(whiskered_tetra).verdict is PG
 
     def test_vertex_and_edge(self, vertex_and_edge):
         report = classify_via_free_face(vertex_and_edge)
@@ -109,9 +110,7 @@ class TestFreeFaceCriterion:
     def test_cone_over_hollow_uses_core(self, cone_over_hollow):
         # Δ itself has free faces, but its core (the hollow triangle) has
         # none; the core-first order of operations is essential.
-        report = classify_via_free_face(cone_over_hollow)
-        assert report.verdict is PG
-        assert report.core_used
+        assert classify_via_free_face(cone_over_hollow).verdict is PG
 
     def test_path_is_pg(self, path):
         # Same guard as the cone fixture: the path is a cone over vertex 2.
@@ -230,19 +229,41 @@ class TestCrossValidate:
 
     def test_detects_mutation(self, monkeypatch):
         # Harness sensitivity: a deliberately broken criterion must surface.
-        monkeypatch.setattr(
-            cartier, "classify_via_free_face",
-            lambda cx: classify_via_ideal(cx, 3) and _flip(cx))
+        monkeypatch.setattr(cartier, "free_face_scan", flipped_scan)
         report = cross_validate(exhaustive_ns=(2,), random_ns=(), trials_per_n=0)
         assert report.mismatches
+
+    def test_detects_bad_witness(self, monkeypatch):
+        # x_1...x_n lies in the rhs I^[2] + (x_1...x_n), so the contract fails.
+        monkeypatch.setattr(cartier, "witness_monomial", lambda cx, pair: (1,) * cx.n)
+        report = cross_validate(exhaustive_ns=(1, 2, 3), random_ns=(), trials_per_n=0)
+        assert not report.mismatches
+        assert len(report.witness_violations) == report.infgen > 0
+
+    def test_each_criterion_runs_once_per_complex(self, monkeypatch):
+        calls = {"core": 0, "free_faces": 0}
+
+        def counted(name):
+            real = getattr(cartier, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cartier, name, counted(name))
+        report = cross_validate(exhaustive_ns=(1, 2, 3, 4), random_ns=())
+        assert report.ok and report.infgen > 0
+        assert calls == {"core": report.total, "free_faces": report.total}
 
     def test_report_json(self):
         d = cross_validate(exhaustive_ns=(2,), random_ns=(), trials_per_n=0).to_json_dict()
         assert d["mismatches"] == [] and d["total"] == 5
 
 
-def _flip(cx):
-    real = classify_via_free_face.__wrapped__(cx) if hasattr(
-        classify_via_free_face, "__wrapped__") else classify_via_free_face(cx)
-    flipped = INF if real.verdict is PG else PG
-    return type(real)(**{**real.__dict__, "verdict": flipped})
+def flipped_scan(cx):
+    """The free-face scan with its verdict flipped: a pair is invented for a
+    core without one, and dropped from a core with some."""
+    scan = free_face_scan(cx)
+    return replace(scan, pairs=[] if scan.pairs else [FreeFacePair(1, 1)])

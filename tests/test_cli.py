@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from srcartier import cartier
 from srcartier.cli import main
+from srcartier.complexes import FreeFacePair
 
 
 @pytest.fixture
@@ -268,16 +270,13 @@ class TestCrossValidate:
         assert d1 == d2
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        broken = cartier.classify_via_free_face
+        broken = cartier.free_face_scan
 
         def flipped(cx):
-            r = broken(cx)
-            v = (cartier.Verdict.INFINITELY_GENERATED
-                 if r.verdict is cartier.Verdict.PRINCIPALLY_GENERATED
-                 else cartier.Verdict.PRINCIPALLY_GENERATED)
-            return type(r)(**{**r.__dict__, "verdict": v})
+            scan = broken(cx)
+            return replace(scan, pairs=[] if scan.pairs else [FreeFacePair(1, 1)])
 
-        monkeypatch.setattr(cartier, "classify_via_free_face", flipped)
+        monkeypatch.setattr(cartier, "free_face_scan", flipped)
         code, out, _ = run(capsys, "cross-validate", "--n", "2", "--exhaustive")
         assert code == 2 and "FAIL" in out
 
@@ -291,6 +290,7 @@ class TestCrossValidate:
     ("cross-validate", "--n", "6", "--exhaustive"),
     ("cross-validate", "--n", "6", "--trials", "0"),
     ("cross-validate", "--trials", "-1"),
+    ("cross-validate", "--exhaustive"),
 ])
 def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
     code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))
