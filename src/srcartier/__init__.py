@@ -23,7 +23,6 @@ from .complexes import (
     build_complex,
     collapse_greedy,
     cone_vertices,
-    contrastar,
     core,
     deletion,
     dimension,
@@ -43,7 +42,6 @@ from .homology import (
     is_gorenstein,
     is_gorenstein_star,
     reduced_betti,
-    relative_betti,
     relative_map_is_surjective,
 )
 from .monomials import (

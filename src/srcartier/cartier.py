@@ -444,15 +444,16 @@ def count_complexes_oracle(n: int) -> int:
 
 
 def _witness_contract_holds(core_cx: SimplicialComplex, pair: FreeFacePair) -> bool:
-    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x^1) on a core, m the witness
+    """Check m ∈ I^[2]:I and m ∉ I^[2]+(x_1⋯x_n) on a core, m the witness
     monomial of one of its free-face pairs.  Membership in the colon is
-    tested by its definition: m·g ∈ I^[2] for every generator g of I."""
+    tested by its definition: m·g ∈ I^[2] for every generator g of I.  A
+    monomial avoids the sum iff no generator of I^[2] divides it and some
+    variable is missing from it."""
     m = witness_monomial(core_cx, pair)
     ideal = ideal_of_complex(core_cx)
     frob = mono.frobenius_power(ideal, 2)
     in_lhs = all(mono.contains(frob, mono.multiply(m, g)) for g in ideal.gens)
-    rhs = mono.add(frob, mono.principal((1,) * core_cx.n))
-    return in_lhs and not mono.contains(rhs, m)
+    return in_lhs and not mono.contains(frob, m) and not all(m)
 
 
 @dataclass

@@ -272,27 +272,6 @@ def deletion(cx: SimplicialComplex, v: int) -> SimplicialComplex:
     return from_masks((f & ~bit for f in cx.facets), cx.n)
 
 
-def contrastar(cx: SimplicialComplex, face: int) -> SimplicialComplex:
-    """cost(F): the subcomplex of faces not containing F (F a nonempty face)."""
-    if face == 0:
-        raise ValueError("contrastar of the empty face is the void complex")
-    if not is_face(cx, face):
-        raise ValueError(f"{mask_vertices(face)} is not a face")
-    cands = [f for f in cx.facets if face & ~f]
-    for g in cx.facets:
-        if face & ~g == 0:
-            rest = face
-            while rest:
-                low = rest & -rest
-                cands.append(g & ~low)
-                rest &= rest - 1
-    return from_masks(cands, cx.n)
-
-
-def is_subcomplex(sub: SimplicialComplex, cx: SimplicialComplex) -> bool:
-    return sub.n == cx.n and all(is_face(cx, f) for f in sub.facets)
-
-
 def _minimal_transversals(edges: Iterable[int], n: int) -> list[int]:
     """Minimal vertex sets meeting every edge, by Berge dualization.
 

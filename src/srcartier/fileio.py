@@ -11,7 +11,8 @@ from __future__ import annotations
 import re
 
 from .complexes import SimplicialComplex, build_complex, mask_vertices
-from .monomials import Monomial, MonomialIdeal, format_monomial, minimize, parse_monomial
+from .monomials import (
+    MAX_VARIABLES, Monomial, MonomialIdeal, format_monomial, minimize, parse_monomial)
 
 _HEADER = re.compile(r"^n\s*=\s*(\d+)$")
 
@@ -70,6 +71,8 @@ def parse_ideal_file(text: str, n_override: int | None = None) -> MonomialIdeal:
             n = max(n, len(mono))
     if n_override is not None:
         n = n_override
+    if n > MAX_VARIABLES:
+        raise ValueError(f"n={n} exceeds the limit of {MAX_VARIABLES} variables")
     gens: list[Monomial] = []
     for line in lines:
         gens.append(parse_monomial(line, n))

@@ -1,8 +1,9 @@
 """Exact simplicial homology over prime fields GF(p).
 
 Chain complexes are built from face bitmasks with the ascending-vertex
-orientation; relative homology of a pair (Δ, Γ) uses the quotient basis
-of faces of Δ outside Γ.  Each boundary map is stored as a list of sparse
+orientation.  Relative homology H_*(Δ, cost F) uses the quotient basis of
+faces of Δ outside the contrastar, which are the faces that contain F
+(`_contrastar_quotient`).  Each boundary map is stored as a list of sparse
 rows (column -> coefficient mod p), and ∂² = 0 is checked on every build.
 One Gaussian elimination, `_eliminate`, serves every caller: it returns
 the rank and, for cycle bases, the left kernel {x : x·M = 0}.  Over GF(2)
@@ -19,14 +20,13 @@ from typing import Iterator, NamedTuple, Optional
 from .complexes import (
     SimplicialComplex,
     cone_vertices,
-    contrastar,
+    core,
     deletion,
     dimension,
     free_faces,
     FreeFacePair,
     is_face,
     is_pure,
-    is_subcomplex,
     link,
     mask_vertices,
 )
@@ -186,16 +186,9 @@ def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     return dict(_reduced_betti_cached(cx.facets, p))
 
 
-def relative_betti(cx: SimplicialComplex, sub: SimplicialComplex, p: int = 2) -> dict[int, int]:
-    """Homology of the pair (Δ, Γ) over GF(p), degrees 0..dim Δ."""
-    if not is_subcomplex(sub, cx):
-        raise ValueError("second argument is not a subcomplex of the first")
-    basis = cx.faces() - sub.faces()
-    d = dimension(cx)
-    if not basis:
-        return {k: 0 for k in range(0, d + 1)}
-    dims = build_chain_complex(basis, p).homology_dims()
-    return {k: dims.get(k, 0) for k in range(0, d + 1)}
+def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
+    """The chain complex of (Δ, cost F), on the faces of Δ that contain F."""
+    return build_chain_complex({f for f in faces if face & ~f == 0}, p)
 
 
 class RankCertificate(NamedTuple):
@@ -218,8 +211,8 @@ def relative_map_is_surjective(
     if not is_face(cx, big):
         raise ValueError("second argument is not a face")
     faces = cx.faces()
-    cc_s = build_chain_complex({f for f in faces if small & ~f == 0}, p)
-    cc_t = build_chain_complex({f for f in faces if big & ~f == 0}, p)
+    cc_s = _contrastar_quotient(faces, small, p)
+    cc_t = _contrastar_quotient(faces, big, p)
     basis_s = cc_s.basis.get(degree, [])
     tgt_index = {f: i for i, f in enumerate(cc_t.basis.get(degree, []))}
 
@@ -275,8 +268,6 @@ def is_gorenstein_star(cx: SimplicialComplex, p: int = 2) -> bool:
 
 
 def is_gorenstein(cx: SimplicialComplex, p: int = 2) -> bool:
-    from .complexes import core
-
     return is_gorenstein_star(core(cx).complex, p)
 
 
@@ -307,7 +298,10 @@ def buchsbaum_star_refutation(cx: SimplicialComplex, p: int = 2) -> Optional[Buc
 
 
 def contrastar_profile(cx: SimplicialComplex, face: int, p: int = 2) -> dict[int, int]:
-    """H_*(Δ, cost F); for F = ∅ this is the reduced homology of Δ."""
+    """H_*(Δ, cost F) in degrees 0..dim Δ; reduced homology of Δ if F = ∅."""
     if face == 0:
         return reduced_betti(cx, p)
-    return relative_betti(cx, contrastar(cx, face), p)
+    if not is_face(cx, face):
+        raise ValueError(f"{mask_vertices(face)} is not a face")
+    dims = _contrastar_quotient(cx.faces(), face, p).homology_dims()
+    return {k: dims.get(k, 0) for k in range(0, dimension(cx) + 1)}

@@ -23,6 +23,7 @@ from typing import Iterable
 Monomial = tuple[int, ...]
 
 EXPONENT_CAP = 1 << 16
+MAX_VARIABLES = 1024  # monomials are dense n-tuples, so n is checked first
 
 
 def _check_same_n(a: Monomial, b: Monomial):
@@ -75,6 +76,8 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
             e = int(m.group(2)) if m.group(2) else 1
             if i < 1:
                 raise ValueError(f"variable index {i} must be positive")
+            if i > MAX_VARIABLES:
+                raise ValueError(f"variable x{i} exceeds the limit of {MAX_VARIABLES} variables")
             exps[i] = exps.get(i, 0) + e
     size = n if n is not None else max(exps, default=1)
     if exps and max(exps) > size:

@@ -22,6 +22,7 @@ from srcartier.complexes import (
     FreeFacePair,
     build_complex,
     full_simplex,
+    minimal_nonfaces,
     vertex_mask,
 )
 from srcartier.monomials import minimize, parse_monomial, zero_ideal
@@ -237,6 +238,19 @@ class TestCrossValidate:
         # x_1...x_n lies in the rhs I^[2] + (x_1...x_n), so the contract fails.
         monkeypatch.setattr(cartier, "witness_monomial", lambda cx, pair: (1,) * cx.n)
         report = cross_validate(exhaustive_ns=(1, 2, 3), random_ns=(), trials_per_n=0)
+        assert not report.mismatches
+        assert len(report.witness_violations) == report.infgen > 0
+
+    def test_detects_witness_in_frobenius_power(self, monkeypatch):
+        # x_g^2 for a minimal nonface g generates I^[2], so it lies in the
+        # colon and in the rhs.  An infgen core is not the boundary of a
+        # simplex, so g misses a vertex: only the I^[2] test can catch it.
+        def squared_nonface(cx, pair):
+            g = minimal_nonfaces(cx)[0]
+            return tuple(2 if g >> i & 1 else 0 for i in range(cx.n))
+
+        monkeypatch.setattr(cartier, "witness_monomial", squared_nonface)
+        report = cross_validate(exhaustive_ns=(1, 2, 3, 4), random_ns=(), trials_per_n=0)
         assert not report.mismatches
         assert len(report.witness_violations) == report.infgen > 0
 

@@ -191,6 +191,27 @@ class TestColon:
         assert err == (f"note: the ideal is not squarefree, so xV^{qm} is not in "
                        f"I^[{q}]:I and the paper's identity does not apply\n")
 
+    @pytest.mark.parametrize("text, flags", [
+        ("x10000000\n", ()),
+        ("n = 10000000\nx1\n", ()),
+        ("x1\n", ("--n", "10000000")),
+    ])
+    @pytest.mark.parametrize("command", ["colon", "classify"])
+    def test_too_many_variables(self, capsys, tmp_path, command, text, flags):
+        # Rejected before any dense 10^7-tuple is built.
+        p = tmp_path / "i.ideal"
+        p.write_text(text)
+        code, out, err = run(capsys, command, str(p), *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit of 1024 variables" in err
+
+    def test_variable_limit_is_inclusive(self, capsys, tmp_path):
+        p = tmp_path / "i.ideal"
+        p.write_text("x1*x1024\n")
+        code, out, _ = run(capsys, "colon", str(p), "--json")
+        assert code == 0 and json.loads(out)["equal"] is True
+
 
 class TestHomologyCommands:
     def test_homology(self, capsys, facet_file):

@@ -6,7 +6,6 @@ from srcartier.complexes import (
     build_complex,
     collapse_greedy,
     cone_vertices,
-    contrastar,
     core,
     deletion,
     dimension,
@@ -21,10 +20,6 @@ from srcartier.complexes import (
     support_vertices,
     vertex_mask,
 )
-
-
-def faces_as_sets(cx):
-    return {frozenset(mask_vertices(f)) for f in cx.faces()}
 
 
 def facet_sets(cx):
@@ -186,19 +181,6 @@ class TestConeCoreJoin:
 
 
 class TestSubcomplexes:
-    def test_contrastar_solid(self, solid_triangle):
-        sub = contrastar(solid_triangle, mk({1, 2}, 3))
-        assert faces_as_sets(sub) == faces_as_sets(solid_triangle) - {
-            frozenset({1, 2}), frozenset({1, 2, 3})}
-
-    def test_contrastar_of_facet(self, solid_triangle):
-        sub = contrastar(solid_triangle, mk({1, 2, 3}, 3))
-        assert faces_as_sets(sub) == faces_as_sets(solid_triangle) - {frozenset({1, 2, 3})}
-
-    def test_contrastar_empty_face_rejected(self, solid_triangle):
-        with pytest.raises(ValueError):
-            contrastar(solid_triangle, 0)
-
     def test_link(self, hollow_triangle):
         lk = link(hollow_triangle, mk({1}, 3))
         assert facet_sets(lk) == {frozenset({2}), frozenset({3})}

@@ -6,7 +6,6 @@ import pytest
 from srcartier.complexes import (
     FreeFacePair,
     build_complex,
-    contrastar,
     full_simplex,
     vertex_mask,
 )
@@ -20,7 +19,6 @@ from srcartier.homology import (
     is_gorenstein,
     is_gorenstein_star,
     reduced_betti,
-    relative_betti,
     relative_map_is_surjective,
 )
 
@@ -81,27 +79,6 @@ class TestReducedBetti:
                 assert chi == sum((-1 if k % 2 else 1) * b for k, b in betti.items())
 
 
-class TestRelativeBetti:
-    def test_disc_mod_boundary(self, solid_triangle, hollow_triangle):
-        assert nonzero(relative_betti(solid_triangle, hollow_triangle)) == {2: 1}
-        assert nonzero(relative_betti(solid_triangle, hollow_triangle, 3)) == {2: 1}
-
-    def test_pair_with_itself(self, hollow_triangle):
-        assert nonzero(relative_betti(hollow_triangle, hollow_triangle)) == {}
-
-    def test_not_a_subcomplex(self, solid_triangle, path):
-        with pytest.raises(ValueError):
-            relative_betti(path, solid_triangle)
-
-    def test_long_exact_sequence_euler(self, solid_triangle, hollow_triangle):
-        # chi(pair) = chi(cx) - chi(sub), with the empty face cancelling.
-        rel = relative_betti(solid_triangle, hollow_triangle)
-        chi_rel = sum((-1 if k % 2 else 1) * b for k, b in rel.items())
-        chi_cx = euler_characteristic_reduced(solid_triangle)
-        chi_sub = euler_characteristic_reduced(hollow_triangle)
-        assert chi_rel == chi_cx - chi_sub
-
-
 class TestContrastarProfile:
     def test_empty_face_is_reduced_homology(self, hollow_triangle):
         assert contrastar_profile(hollow_triangle, 0) == reduced_betti(hollow_triangle)
@@ -114,10 +91,9 @@ class TestContrastarProfile:
         prof = contrastar_profile(solid_triangle, mk({1, 2, 3}, 3))
         assert prof.get(2, 0) == 1
 
-    def test_matches_relative(self, whiskered_tetra):
-        f = mk({1, 5}, 5)
-        expected = relative_betti(whiskered_tetra, contrastar(whiskered_tetra, f))
-        assert contrastar_profile(whiskered_tetra, f) == expected
+    def test_non_face_rejected(self, hollow_triangle):
+        with pytest.raises(ValueError, match=r"\(1, 2, 3\) is not a face"):
+            contrastar_profile(hollow_triangle, mk({1, 2, 3}, 3))
 
 
 class TestRelativeMap:

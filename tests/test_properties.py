@@ -19,7 +19,6 @@ from srcartier.cartier import (
 from srcartier.complexes import (
     collapse_greedy,
     cone_vertices,
-    contrastar,
     core,
     deletion,
     dimension,
@@ -33,7 +32,7 @@ from srcartier.complexes import (
     minimal_nonfaces,
     support_vertices,
 )
-from srcartier.homology import contrastar_profile, reduced_betti, relative_betti
+from srcartier.homology import contrastar_profile, reduced_betti
 from srcartier.monomials import (
     add,
     colon,
@@ -187,9 +186,6 @@ class TestComplexProperties:
             if is_face(cx, 1 << (v - 1)):
                 link(cx, 1 << (v - 1))
             deletion(cx, v)
-        for face in cx.faces():
-            if face:
-                contrastar(cx, face)
         for pair in free_faces(cx):
             elementary_collapse(cx, pair)
 
@@ -227,10 +223,6 @@ class TestHomologyProperties:
             size = face.bit_count()
             for i in range(0, d + 1):
                 assert prof.get(i, 0) == lk_betti.get(i - size, 0)
-
-    @given(complexes())
-    def test_relative_betti_of_pair_with_itself(self, cx):
-        assert not any(relative_betti(cx, cx).values())
 
 
 class TestDeterminism:
