@@ -27,7 +27,6 @@ from .complexes import (
     deletion,
     dimension,
     elementary_collapse,
-    facets_containing,
     free_faces,
     is_face,
     link,

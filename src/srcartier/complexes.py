@@ -9,8 +9,9 @@ Nothing here walks all 2^n subsets of the ground set.  Minimal nonfaces
 are computed by hypergraph dualization (Alexander duality: they are the
 minimal transversals of the facet complements, see `_minimal_transversals`),
 free faces come from the ridges G minus v of the facets G, and an
-elementary collapse rewrites the facet list directly.  Only `faces`
-lists every face, and no routine on the classify path calls it.
+elementary collapse rewrites the facet list directly.  Only
+`faces_of_facets` (and `SimplicialComplex.faces`, which calls it) lists
+every face, and no routine on the classify path calls it.
 """
 
 from __future__ import annotations
@@ -57,16 +58,35 @@ def face_key(mask: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _maximal(masks: Iterable[int]) -> frozenset[int]:
-    """Inclusion-maximal elements of a set of bitmasks."""
-    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    """Inclusion-maximal elements of a set of bitmasks.
+
+    Each set is compared only with the kept sets of strictly larger size:
+    distinct sets of equal size are incomparable, so on a pure family the
+    cost is linear.
+    """
+    by_size: dict[int, list[int]] = {}
+    for m in set(masks):
+        by_size.setdefault(m.bit_count(), []).append(m)
     kept: list[int] = []
-    for m in uniq:
-        for k in kept:
-            if m & ~k == 0:
-                break
-        else:
-            kept.append(m)
+    for size in sorted(by_size, reverse=True):
+        layer = by_size[size]
+        if kept:
+            layer = [m for m in layer if all(m & ~k for k in kept)]
+        kept += layer
     return frozenset(kept)
+
+
+def faces_of_facets(facets: Iterable[int]) -> set[int]:
+    """Every subset of some facet, as bitmasks (0, the empty face, included)."""
+    seen: set[int] = set()
+    for f in facets:
+        s = f
+        while True:
+            seen.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return seen
 
 
 class FreeFacePair(NamedTuple):
@@ -100,15 +120,7 @@ class SimplicialComplex:
 
     def faces(self) -> set[int]:
         """All faces, as bitmasks (always contains 0, the empty face)."""
-        seen: set[int] = set()
-        for f in self.facets:
-            s = f
-            while True:
-                seen.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & f
-        return seen
+        return faces_of_facets(self.facets)
 
     def sorted_facets(self) -> list[int]:
         return sorted(self.facets, key=face_key)
@@ -149,14 +161,6 @@ def is_face(cx: SimplicialComplex, face: int) -> bool:
 
 def dimension(cx: SimplicialComplex) -> int:
     return max(f.bit_count() for f in cx.facets) - 1
-
-
-def facets_containing(cx: SimplicialComplex, face: int) -> list[int]:
-    """All facets containing the given face (which must be a face)."""
-    conts = [f for f in cx.facets if face & ~f == 0]
-    if not conts:
-        raise ValueError(f"{mask_vertices(face)} is not a face")
-    return sorted(conts, key=face_key)
 
 
 def free_faces(cx: SimplicialComplex) -> list[FreeFacePair]:
@@ -260,8 +264,10 @@ def join_with_simplex(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
 
 def link(cx: SimplicialComplex, face: int) -> SimplicialComplex:
     """Faces disjoint from `face` whose union with it stays a face."""
-    conts = facets_containing(cx, face)
-    return SimplicialComplex(cx.n, frozenset(f & ~face for f in conts))
+    facets = frozenset(f & ~face for f in cx.facets if face & ~f == 0)
+    if not facets:
+        raise ValueError(f"{mask_vertices(face)} is not a face")
+    return SimplicialComplex(cx.n, facets)
 
 
 def deletion(cx: SimplicialComplex, v: int) -> SimplicialComplex:

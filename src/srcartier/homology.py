@@ -4,10 +4,23 @@ Chain complexes are built from face bitmasks with the ascending-vertex
 orientation.  Relative homology H_*(Δ, cost F) uses the quotient basis of
 faces of Δ outside the contrastar, which are the faces that contain F
 (`_contrastar_quotient`).  Each boundary map is stored as a list of sparse
-rows (column -> coefficient mod p), and ∂² = 0 is checked on every build.
+rows (column -> coefficient mod p), built in one pass per face, and
+∂² = 0 is checked on every build; over GF(2) the check XORs the lower
+rows packed into ints.
+
 One Gaussian elimination, `_eliminate`, serves every caller: it returns
-the rank and, for cycle bases, the left kernel {x : x·M = 0}.  Over GF(2)
-it packs rows into ints; otherwise it reduces dict rows modulo p.
+the rank, the pivot columns and, for cycle bases, the left kernel
+{x : x·M = 0}.  Over GF(2) it packs rows into ints; otherwise it reduces
+dict rows modulo p.  `homology_dims` eliminates the top degree first and
+clears: a row of ∂_k whose face is a pivot column of ∂_{k+1} lies in the
+span of the other rows (because ∂² = 0), so it is left out (Chen–Kerber,
+"Persistent homology computation with a twist", 2011).
+
+Reisner's criterion needs the homology of every link.  `_link_betti`
+walks the faces depth-first from ∅ and builds lk(F ∪ v) as lk_{lk F}(v)
+from its parent's facets, so each face is visited once and no link is
+rebuilt from the facets of Δ.  Betti numbers are cached by the facets of
+the complex.
 """
 
 from __future__ import annotations
@@ -23,6 +36,7 @@ from .complexes import (
     core,
     deletion,
     dimension,
+    faces_of_facets,
     free_faces,
     FreeFacePair,
     is_face,
@@ -59,13 +73,16 @@ def _subtract_multiple(dst: Row, c: int, src: Row, p: int):
             del dst[j]
 
 
-def _eliminate(rows: list[Row], p: int, kernel: bool = False) -> tuple[int, list[Row]]:
-    """Rank over GF(p) of the matrix with the given sparse rows and, if
-    `kernel`, a basis of its left kernel {x : x·M = 0} indexed by row.
+def _eliminate(rows: list[Row], p: int,
+               kernel: bool = False) -> tuple[int, list[Row], set[int]]:
+    """Rank over GF(p) of the matrix with the given sparse rows, a basis of
+    its left kernel {x : x·M = 0} indexed by row if `kernel` (else []), and
+    the pivot columns.
 
-    Each row is reduced against pivots keyed by their leading column; a row
-    that reduces to zero contributes the combination of input rows that
-    produced it.  Over GF(2) rows and combinations are packed into ints.
+    Each row is reduced against pivots keyed by their leading (smallest)
+    column; a row that reduces to zero contributes the combination of input
+    rows that produced it.  Over GF(2) rows and combinations are packed
+    into ints.
     """
     null: list[Row] = []
     if p == 2:
@@ -87,7 +104,7 @@ def _eliminate(rows: list[Row], p: int, kernel: bool = False) -> tuple[int, list
                         x[(comb & -comb).bit_length() - 1] = 1
                         comb &= comb - 1
                     null.append(x)
-        return len(pivots2), null
+        return len(pivots2), null, {b.bit_length() - 1 for b in pivots2}
     pivots: dict[int, tuple[Row, Row]] = {}
     for i, row in enumerate(rows):
         r = {j: c % p for j, c in row.items() if c % p}
@@ -107,7 +124,7 @@ def _eliminate(rows: list[Row], p: int, kernel: bool = False) -> tuple[int, list
         else:
             if kernel:
                 null.append(comb)
-    return len(pivots), null
+    return len(pivots), null, set(pivots)
 
 
 class ChainComplexOverField(NamedTuple):
@@ -118,21 +135,15 @@ class ChainComplexOverField(NamedTuple):
     boundaries: dict[int, list[Row]]     # degree k -> rows of C_k -> C_{k-1}
 
     def homology_dims(self) -> dict[int, int]:
-        ranks = {k: _eliminate(rows, self.p)[0] for k, rows in self.boundaries.items()}
+        ranks: dict[int, int] = {}
+        pivots: dict[int, set[int]] = {}
+        for k in sorted(self.boundaries, reverse=True):
+            rows = self.boundaries[k]
+            cleared = pivots.get(k + 1)
+            if cleared:
+                rows = [row for i, row in enumerate(rows) if i not in cleared]
+            ranks[k], _, pivots[k] = _eliminate(rows, self.p)
         return {k: len(self.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(self.basis)}
-
-
-def _boundary_terms(face: int):
-    """Signed codimension-one subfaces of a face, ascending-vertex signs."""
-    terms = []
-    pos = 0
-    rest = face
-    while rest:
-        low = rest & -rest
-        terms.append((face & ~low, -1 if pos % 2 else 1))
-        pos += 1
-        rest &= rest - 1
-    return terms
 
 
 def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
@@ -149,11 +160,23 @@ def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
     for k in basis:
         basis[k].sort()
     index = {f: i for k in basis for i, f in enumerate(basis[k])}
-    boundaries = {
-        k: [{index[sub]: sign % p for sub, sign in _boundary_terms(f) if sub in face_basis}
-            for f in basis[k]]
-        for k in basis
-    }
+    boundaries: dict[int, list[Row]] = {}
+    for k, faces in basis.items():
+        rows = []
+        for f in faces:
+            # Dropping the i-th lowest vertex has sign (-1)^i, i.e. 1 or p - 1.
+            row: Row = {}
+            sign = 1
+            rest = f
+            while rest:
+                low = rest & -rest
+                j = index.get(f ^ low)
+                if j is not None:
+                    row[j] = sign
+                sign = p - sign
+                rest ^= low
+            rows.append(row)
+        boundaries[k] = rows
     _check_boundary_squared(boundaries, p)
     return ChainComplexOverField(p, basis, boundaries)
 
@@ -163,21 +186,37 @@ def _check_boundary_squared(boundaries: dict[int, list[Row]], p: int):
         lower = boundaries.get(k - 1)
         if lower is None:
             continue
+        if p == 2:
+            packed = []
+            for low_row in lower:
+                bits = 0
+                for j, c in low_row.items():
+                    if c & 1:
+                        bits |= 1 << j
+                packed.append(bits)
+            for row in rows:
+                acc = 0
+                for j, c in row.items():
+                    if c & 1:
+                        acc ^= packed[j]
+                if acc:
+                    raise AssertionError("boundary squared is nonzero")
+            continue
         for row in rows:
             acc: dict[int, int] = {}
             for j, c in row.items():
                 for j2, c2 in lower[j].items():
                     acc[j2] = acc.get(j2, 0) + c * c2
-            if any(v % p for v in acc.values()):
-                raise AssertionError("boundary squared is nonzero")
+            for v in acc.values():
+                if v % p:
+                    raise AssertionError("boundary squared is nonzero")
 
 
 @lru_cache(maxsize=1 << 17)
 def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    cx = SimplicialComplex(max(f.bit_length() for f in facets) if facets != {0} else 0, facets)
-    cc = build_chain_complex(cx.faces(), p)
-    dims = cc.homology_dims()
-    d = dimension(cx)
+    """Keyed by the facets of an already validated complex."""
+    dims = build_chain_complex(faces_of_facets(facets), p).homology_dims()
+    d = max(f.bit_count() for f in facets) - 1
     return tuple((k, dims.get(k, 0)) for k in range(-1, d + 1))
 
 
@@ -223,7 +262,7 @@ def relative_map_is_surjective(
     if target_dim == 0:
         return RankCertificate(True, 0, 0)
 
-    _, cycles = _eliminate(cc_s.boundaries.get(degree, []), p, kernel=True)
+    _, cycles, _ = _eliminate(cc_s.boundaries.get(degree, []), p, kernel=True)
     projected = [{tgt_index[basis_s[i]]: c for i, c in z.items() if basis_s[i] in tgt_index}
                  for z in cycles]
     rank_map = _eliminate(projected + bt_rows, p)[0] - rank_bt
@@ -232,10 +271,23 @@ def relative_map_is_surjective(
 
 def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
     """(dim lk F, reduced Betti numbers of lk F over GF(p)) for each face F,
-    lazily.  The Betti numbers sit in degrees -1..dim lk F."""
-    for face in cx.faces():
-        lk = link(cx, face)
+    lazily.  The Betti numbers sit in degrees -1..dim lk F.
+
+    Depth-first from lk ∅ = Δ: the children of F are F ∪ v for the vertices
+    v of lk F above max F, and lk(F ∪ v) = lk_{lk F}(v) (Reisner, 1976).
+    """
+    stack = [(0, cx)]
+    while stack:
+        face, lk = stack.pop()
         yield dimension(lk), reduced_betti(lk, p)
+        verts = 0
+        for f in lk.facets:
+            verts |= f
+        rest = verts & -(1 << face.bit_length())
+        while rest:
+            v = rest & -rest
+            stack.append((face | v, link(lk, v)))
+            rest ^= v
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:

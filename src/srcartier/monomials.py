@@ -79,6 +79,9 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
             if i > MAX_VARIABLES:
                 raise ValueError(f"variable x{i} exceeds the limit of {MAX_VARIABLES} variables")
             exps[i] = exps.get(i, 0) + e
+            if exps[i] > EXPONENT_CAP:
+                # Rejected before `minimize` packs a (1 << e) - 1 thermometer code.
+                raise ValueError("exponent out of range")
     size = n if n is not None else max(exps, default=1)
     if exps and max(exps) > size:
         raise ValueError(f"variable x{max(exps)} exceeds ambient n={size}")

@@ -60,6 +60,13 @@ class TestCorrespondence:
         with pytest.raises(ValueError):
             complex_of_ideal(ideal(2, "x1^2"))
 
+    def test_twelve_disjoint_edges(self):
+        # 2^12 pure facets: one endpoint of each edge x_{2i-1} x_{2i}.
+        got = complex_of_ideal(ideal(24, *(f"x{2 * i + 1}*x{2 * i + 2}" for i in range(12))))
+        expected = {sum(1 << (2 * i + (choice >> i & 1)) for i in range(12))
+                    for choice in range(1 << 12)}
+        assert len(got.facets) == 4096 and got.facets == expected
+
     def test_roundtrip_exhaustive_n4(self):
         for n in range(1, 5):
             for cx in enumerate_complexes(n):

@@ -206,6 +206,13 @@ class TestColon:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit of 1024 variables" in err
 
+    @pytest.mark.parametrize("command", ["colon", "classify"])
+    def test_huge_exponent(self, capsys, tmp_path, command):
+        # Rejected while parsing, before a 5*10^7-bit packed code is built.
+        p = tmp_path / "i.ideal"
+        p.write_text("n = 2\nx1^50000000*x2\n")
+        assert run(capsys, command, str(p)) == (1, "", "error: exponent out of range\n")
+
     def test_variable_limit_is_inclusive(self, capsys, tmp_path):
         p = tmp_path / "i.ideal"
         p.write_text("x1*x1024\n")

@@ -10,7 +10,6 @@ from srcartier.complexes import (
     deletion,
     dimension,
     elementary_collapse,
-    facets_containing,
     free_faces,
     full_simplex,
     is_face,
@@ -76,17 +75,6 @@ class TestFaceQueries:
         assert dimension(whiskered_tetra) == 2
         assert dimension(path) == 1
         assert dimension(build_complex([], 3)) == -1
-
-    def test_facets_containing(self, whiskered_tetra, path):
-        assert {frozenset(mask_vertices(f))
-                for f in facets_containing(whiskered_tetra, mk({5}, 5))} == \
-            {frozenset({1, 5}), frozenset({2, 5})}
-        assert facets_containing(whiskered_tetra, mk({1, 2, 3}, 5)) == [mk({1, 2, 3}, 5)]
-        assert len(facets_containing(path, mk({2}, 3))) == 2
-
-    def test_facets_containing_nonface(self, whiskered_tetra):
-        with pytest.raises(ValueError):
-            facets_containing(whiskered_tetra, mk({3, 5}, 5))
 
 
 class TestFreeFaces:

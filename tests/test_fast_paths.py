@@ -7,14 +7,18 @@ for an elementary collapse, and every quotient `colon_mono(m, g)` and
 pairwise lcm for an intersection or a colon.  The fast paths must return
 the same list in the same order.  The Stanley-Reisner colon kernel is
 checked against the general `colon` on small complexes, and against the
-definition of I^[q] : I on complexes too large for `colon`.
+definition of I^[q] : I on complexes too large for `colon`.  In homology,
+the cleared elimination is checked against the plain per-degree ranks, the
+link walk against one `link(cx, F)` per face, and `_maximal` against the
+all-pairs comparison it replaces.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from srcartier import cartier
 from srcartier.cartier import (
@@ -32,18 +36,28 @@ from srcartier.cartier import (
 from srcartier.complexes import (
     FreeFacePair,
     SimplicialComplex,
+    _maximal,
     build_complex,
     collapse_greedy,
     elementary_collapse,
     face_key,
     free_faces,
     from_masks,
+    dimension,
     is_face,
     join_with_simplex,
+    link,
     minimal_nonfaces,
     vertex_mask,
 )
 from srcartier import complexes
+from srcartier.homology import (
+    _contrastar_quotient,
+    _eliminate,
+    _link_betti,
+    build_chain_complex,
+    reduced_betti,
+)
 from srcartier.monomials import (
     MonomialIdeal,
     _colon_packed,
@@ -415,3 +429,59 @@ def test_sr_colon_meets_the_definition_on_large_random_complexes(n):
         hits += member
         assert member == contains(lhs, m)
     assert 0 < hits < 500
+
+
+# -- homology: clearing, the link walk and the antichain test ----------------
+
+def homology_dims_uncleared(cc):
+    """H_k = dim C_k - rank ∂_k - rank ∂_{k+1}, every row of every ∂_k reduced."""
+    ranks = {k: _eliminate(rows, cc.p)[0] for k, rows in cc.boundaries.items()}
+    return {k: len(cc.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(cc.basis)}
+
+
+def link_betti_per_face(cx, p):
+    """One link built from the facets of Δ for every face."""
+    for face in cx.faces():
+        lk = link(cx, face)
+        yield dimension(lk), reduced_betti(lk, p)
+
+
+def betti_multiset(pairs):
+    return Counter((d, tuple(sorted(betti.items()))) for d, betti in pairs)
+
+
+def maximal_all_pairs(masks):
+    """Every set against every kept larger-or-equal set."""
+    uniq = sorted(set(masks), key=lambda m: -m.bit_count())
+    kept = []
+    for m in uniq:
+        for k in kept:
+            if m & ~k == 0:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cleared_homology_matches_the_uncleared_ranks(small_complexes, p):
+    for cx in small_complexes:
+        faces = cx.faces()
+        cc = build_chain_complex(faces, p)
+        assert cc.homology_dims() == homology_dims_uncleared(cc)
+        for face in faces:
+            if face:
+                rel = _contrastar_quotient(faces, face, p)
+                assert rel.homology_dims() == homology_dims_uncleared(rel)
+
+
+def test_link_walk_matches_one_link_per_face(small_complexes):
+    for cx in small_complexes:
+        assert betti_multiset(_link_betti(cx, 2)) == betti_multiset(link_betti_per_face(cx, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=40)))
+def test_maximal_matches_the_all_pairs_comparison(masks):
+    assert _maximal(masks) == maximal_all_pairs(masks)

@@ -11,7 +11,9 @@ from srcartier.complexes import (
 )
 from srcartier.homology import (
     PrimeField,
+    _check_boundary_squared,
     _eliminate,
+    build_chain_complex,
     buchsbaum_star_refutation,
     contrastar_profile,
     is_cohen_macaulay,
@@ -256,9 +258,10 @@ class TestEliminate:
                 mixed = {j: (a * rows[0].get(j, 0) + b * rows[1].get(j, 0)) % p
                          for j in range(ncols)}
                 rows[-1] = {j: c for j, c in mixed.items() if c}
-            rank, kernel = _eliminate(rows, p, kernel=True)
+            rank, kernel, pivots = _eliminate(rows, p, kernel=True)
             assert p ** rank == len(_span(rows, p, ncols))
-            assert _eliminate(rows, p)[0] == rank
+            assert _eliminate(rows, p)[::2] == (rank, pivots)
+            assert len(pivots) == rank and pivots <= set(range(ncols))
             assert len(kernel) == nrows - rank
             for x in kernel:
                 assert all(0 <= i < nrows and c % p for i, c in x.items())
@@ -266,3 +269,25 @@ class TestEliminate:
                                for j in range(ncols)]
                 assert not any(product_row)
             assert len(_span(kernel, p, nrows)) == p ** len(kernel)
+
+
+
+class TestBoundarySquaredCheck:
+    """The ∂² = 0 check that runs on every build fires on a corrupted boundary."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("mutation", ["flip", "drop"])
+    def test_corrupted_entry(self, p, degree, mutation):
+        cc = build_chain_complex(full_simplex(3).faces(), p)
+        boundaries = {k: [dict(row) for row in rows] for k, rows in cc.boundaries.items()}
+        _check_boundary_squared(boundaries, p)
+        row = boundaries[degree][0]
+        j = next(iter(row))
+        if mutation == "drop":
+            del row[j]
+        else:
+            # Over GF(2) the only flip of 1 is 0, kept as an explicit entry.
+            row[j] = 0 if p == 2 else p - row[j]
+        with pytest.raises(AssertionError):
+            _check_boundary_squared(boundaries, p)

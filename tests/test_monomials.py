@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from srcartier.monomials import (
+    EXPONENT_CAP,
     MonomialIdeal,
     add,
     colon,
@@ -63,6 +64,12 @@ class TestGrammar:
     def test_ambient_too_small(self):
         with pytest.raises(ValueError):
             parse_monomial("x4", 3)
+
+    def test_exponent_cap(self):
+        assert parse_monomial(f"x1^{EXPONENT_CAP}", 1) == (EXPONENT_CAP,)
+        for text in [f"x1^{EXPONENT_CAP + 1}", f"x1^{EXPONENT_CAP}*x1", "x1^50000000"]:
+            with pytest.raises(ValueError, match="exponent out of range"):
+                parse_monomial(text, 1)
 
 
 class TestMinimize:
