@@ -44,6 +44,10 @@ from .monomials import Monomial, MonomialIdeal
 
 EXHAUSTIVE_MAX_N = 5   # largest n that enumerate_complexes will visit
 RANDOM_MAX_N = 20      # largest n that random_complex will sample
+# Past this many dual sets per generator `colon_identity` uses
+# `monomials.colon`: on joins of small complexes the two routes cost the
+# same near 30 facets per generator.
+_FACETS_PER_GENERATOR = 32
 
 
 class Verdict(Enum):
@@ -75,15 +79,18 @@ def _supports(ideal: MonomialIdeal) -> list[int]:
     return [sum(1 << i for i, e in enumerate(g) if e) for g in ideal.gens]
 
 
-def _facets_of_ideal(ideal: MonomialIdeal) -> list[int]:
-    """The facets of the complex of a squarefree ideal, as bitmasks.
+def _facets_of_ideal(ideal: MonomialIdeal,
+                     limit: Optional[int] = None) -> Optional[list[int]]:
+    """The facets of the complex of a squarefree ideal, as bitmasks, or
+    None once the dualization outgrows `limit` sets.
 
     A set is a face iff its complement meets every generator support, so
     the facets are the complements of the minimal transversals, an
     antichain already (none for the unit ideal, whose complex is {∅}).
     """
     full = (1 << ideal.n) - 1
-    return [full & ~t for t in _minimal_transversals(_supports(ideal), ideal.n)]
+    trans = _minimal_transversals(_supports(ideal), ideal.n, limit)
+    return None if trans is None else [full & ~t for t in trans]
 
 
 def _sr_colon_pairs(facets: Iterable[int], nonfaces: Iterable[int],
@@ -207,12 +214,17 @@ def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
 
     A squarefree proper ideal is the Stanley-Reisner ideal of
     `complex_of_ideal(ideal)`, and its lhs comes from `_sr_colon_pairs` on
-    the facets of that complex; any other ideal (one with a generator that
+    the facets of that complex.  Any other ideal (one with a generator that
     is not squarefree, or the unit ideal) goes through the general
-    `monomials.colon`.
+    `monomials.colon`, and so does a squarefree ideal whose dualization
+    passes `_FACETS_PER_GENERATOR` sets per generator: k disjoint edges
+    have 2^k facets, while `monomials.colon` stays polynomial there.
     """
     squarefree = not ideal.is_unit() and all(mono.is_squarefree(g) for g in ideal.gens)
-    return _colon_identity(ideal, q, _facets_of_ideal(ideal) if squarefree else None)
+    facets = None
+    if squarefree:
+        facets = _facets_of_ideal(ideal, _FACETS_PER_GENERATOR * len(ideal.gens))
+    return _colon_identity(ideal, q, facets)
 
 
 def _colon_identity(ideal: MonomialIdeal, q: int,

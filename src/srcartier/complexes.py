@@ -17,7 +17,7 @@ every face, and no routine on the classify path calls it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
 
@@ -278,8 +278,11 @@ def deletion(cx: SimplicialComplex, v: int) -> SimplicialComplex:
     return from_masks((f & ~bit for f in cx.facets), cx.n)
 
 
-def _minimal_transversals(edges: Iterable[int], n: int) -> list[int]:
-    """Minimal vertex sets meeting every edge, by Berge dualization.
+def _minimal_transversals(edges: Iterable[int], n: int,
+                          limit: Optional[int] = None) -> Optional[list[int]]:
+    """Minimal vertex sets meeting every edge, by Berge dualization, or
+    None once the transversals of some prefix of the edges outnumber
+    `limit`.
 
     Edges are processed one at a time.  A transversal that meets the new
     edge is kept; one that misses it is extended by each vertex v of the
@@ -306,6 +309,8 @@ def _minimal_transversals(edges: Iterable[int], n: int) -> list[int]:
                         break
                 else:
                     trans.append(tv)
+        if limit is not None and len(trans) > limit:
+            return None
     return trans
 
 

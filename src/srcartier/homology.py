@@ -16,11 +16,15 @@ clears: a row of ∂_k whose face is a pivot column of ∂_{k+1} lies in the
 span of the other rows (because ∂² = 0), so it is left out (Chen–Kerber,
 "Persistent homology computation with a twist", 2011).
 
-Reisner's criterion needs the homology of every link.  `_link_betti`
-walks the faces depth-first from ∅ and builds lk(F ∪ v) as lk_{lk F}(v)
-from its parent's facets, so each face is visited once and no link is
-rebuilt from the facets of Δ.  Betti numbers are cached by the facets of
-the complex.
+Reisner's criterion reads only (dim, H̃_*) of each link, and both are
+invariant under relabelling the vertices.  `_relabelled` maps the support
+vertices of a facet set, in increasing order, to bits 0..k-1, and Betti
+numbers are cached by the relabelled facets.  `_link_betti` visits each
+link once up to relabelling: {lk F : F ∈ Δ} is the closure of {Δ} under
+vertex links, since lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes
+with taking links, so it walks from the relabelled Δ and keeps a child
+lk_L(v) only when its relabelled facets are new.  No link is rebuilt from
+the facets of Δ.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .complexes import (
     SimplicialComplex,
@@ -41,7 +45,6 @@ from .complexes import (
     FreeFacePair,
     is_face,
     is_pure,
-    link,
     mask_vertices,
 )
 
@@ -212,9 +215,27 @@ def _check_boundary_squared(boundaries: dict[int, list[Row]], p: int):
                     raise AssertionError("boundary squared is nonzero")
 
 
+def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
+    """The number k of support vertices and the facets with those vertices,
+    in increasing order, mapped to bits 0..k-1."""
+    facets = list(facets)
+    support = 0
+    for f in facets:
+        support |= f
+    gaps = support ^ ((1 << support.bit_length()) - 1)
+    while gaps:
+        # Close the highest run of gaps, bits low..top-1, by shifting down.
+        top = gaps.bit_length()
+        low = (~gaps & ((1 << top) - 1)).bit_length()
+        keep = (1 << low) - 1
+        facets = [f & keep | (f >> (top - low)) & ~keep for f in facets]
+        gaps &= keep
+    return support.bit_count(), frozenset(facets)
+
+
 @lru_cache(maxsize=1 << 17)
 def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    """Keyed by the facets of an already validated complex."""
+    """Keyed by the relabelled facets of an already validated complex."""
     dims = build_chain_complex(faces_of_facets(facets), p).homology_dims()
     d = max(f.bit_count() for f in facets) - 1
     return tuple((k, dims.get(k, 0)) for k in range(-1, d + 1))
@@ -222,7 +243,7 @@ def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, in
 
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
-    return dict(_reduced_betti_cached(cx.facets, p))
+    return dict(_reduced_betti_cached(_relabelled(cx.facets)[1], p))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -270,24 +291,27 @@ def relative_map_is_surjective(
 
 
 def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
-    """(dim lk F, reduced Betti numbers of lk F over GF(p)) for each face F,
-    lazily.  The Betti numbers sit in degrees -1..dim lk F.
+    """(dim L, reduced Betti numbers of L over GF(p)) once for each link L
+    of a face of Δ up to relabelling, lazily.  The Betti numbers sit in
+    degrees -1..dim L.
 
-    Depth-first from lk ∅ = Δ: the children of F are F ∪ v for the vertices
-    v of lk F above max F, and lk(F ∪ v) = lk_{lk F}(v) (Reisner, 1976).
+    Starts from the relabelled Δ = lk ∅; the children of L are its vertex
+    links lk_L(v), relabelled, and lk(F ∪ v) = lk_{lk F}(v) (Reisner,
+    1976), so every link of a face is reached.
     """
-    stack = [(0, cx)]
+    k, facets = _relabelled(cx.facets)
+    seen = {facets}
+    stack = [(k, facets)]
     while stack:
-        face, lk = stack.pop()
-        yield dimension(lk), reduced_betti(lk, p)
-        verts = 0
-        for f in lk.facets:
-            verts |= f
-        rest = verts & -(1 << face.bit_length())
-        while rest:
-            v = rest & -rest
-            stack.append((face | v, link(lk, v)))
-            rest ^= v
+        k, facets = stack.pop()
+        lk = SimplicialComplex(k, facets)
+        yield dimension(lk), dict(_reduced_betti_cached(facets, p))
+        for i in range(k):
+            v = 1 << i
+            child = _relabelled([f & ~v for f in facets if f & v])
+            if child[1] not in seen:
+                seen.add(child[1])
+                stack.append(child)
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:

@@ -27,6 +27,11 @@ def infgen_file(facet_file):
     return facet_file("n = 3\n1 3\n2\n", "infgen.facets")
 
 
+def disjoint_edges(k):
+    """An .ideal file with the generators x1*x2, x3*x4, ..., x(2k-1)*x(2k)."""
+    return f"n = {2 * k}\n" + "".join(f"x{2 * j + 1}*x{2 * j + 2}\n" for j in range(k))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -212,6 +217,28 @@ class TestColon:
         p = tmp_path / "i.ideal"
         p.write_text("n = 2\nx1^50000000*x2\n")
         assert run(capsys, command, str(p)) == (1, "", "error: exponent out of range\n")
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_both_routes_print_the_same_bytes(self, capsys, monkeypatch, tmp_path, k):
+        # k disjoint edges: the complex has 2^k facets for k generators.
+        p = tmp_path / "edges.ideal"
+        p.write_text(disjoint_edges(k))
+        outputs = []
+        for per_generator in (0, 1 << 20):  # monomials.colon, then the facet kernel
+            monkeypatch.setattr(cartier, "_FACETS_PER_GENERATOR", per_generator)
+            outputs.append([run(capsys, "colon", str(p), *flags)
+                            for flags in ((), ("--json",), ("--q", "3"))])
+        assert outputs[0] == outputs[1]
+        assert all(code == 0 and err == "" for code, _, err in outputs[0])
+
+    def test_many_disjoint_edges(self, capsys, tmp_path):
+        # The complex has 2^24 facets; `colon` must not list them.
+        p = tmp_path / "edges.ideal"
+        p.write_text(disjoint_edges(24))
+        code, out, err = run(capsys, "colon", str(p), "--json")
+        d = json.loads(out)
+        assert (code, err, d["equal"], d["offending"]) == (0, "", True, [])
+        assert len(d["lhs"]) == 25
 
     def test_variable_limit_is_inclusive(self, capsys, tmp_path):
         p = tmp_path / "i.ideal"

@@ -8,13 +8,14 @@ pairwise lcm for an intersection or a colon.  The fast paths must return
 the same list in the same order.  The Stanley-Reisner colon kernel is
 checked against the general `colon` on small complexes, and against the
 definition of I^[q] : I on complexes too large for `colon`.  In homology,
-the cleared elimination is checked against the plain per-degree ranks, the
-link walk against one `link(cx, F)` per face, and `_maximal` against the
-all-pairs comparison it replaces.
+the cleared elimination is checked against the plain per-degree ranks; the
+distinct-link walk, Reisner's tests and the relabelled Betti key against
+one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
+its cache; and `_maximal` against the all-pairs comparison it replaces.
 """
 
 import random
-from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -43,6 +44,7 @@ from srcartier.complexes import (
     face_key,
     free_faces,
     from_masks,
+    deletion,
     dimension,
     is_face,
     join_with_simplex,
@@ -56,6 +58,9 @@ from srcartier.homology import (
     _eliminate,
     _link_betti,
     build_chain_complex,
+    is_cohen_macaulay,
+    is_doubly_cohen_macaulay,
+    is_gorenstein_star,
     reduced_betti,
 )
 from srcartier.monomials import (
@@ -439,15 +444,43 @@ def homology_dims_uncleared(cc):
     return {k: len(cc.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(cc.basis)}
 
 
+@lru_cache(maxsize=None)
+def betti_direct(cx, p):
+    """Reduced Betti numbers in degrees -1..dim from the faces of the
+    complex on its own labels, bypassing `reduced_betti` and its relabelled
+    key.  Memoized by the labelled complex, only to share work between
+    equal links."""
+    dims = build_chain_complex(cx.faces(), p).homology_dims()
+    return {k: dims.get(k, 0) for k in range(-1, dimension(cx) + 1)}
+
+
+@lru_cache(maxsize=None)
 def link_betti_per_face(cx, p):
-    """One link built from the facets of Δ for every face."""
-    for face in cx.faces():
-        lk = link(cx, face)
-        yield dimension(lk), reduced_betti(lk, p)
+    """One link built from the facets of Δ for every face, with
+    `betti_direct`.  Memoized only to share work between tests."""
+    return [(dimension(lk), betti_direct(lk, p))
+            for lk in (link(cx, face) for face in cx.faces())]
 
 
-def betti_multiset(pairs):
-    return Counter((d, tuple(sorted(betti.items()))) for d, betti in pairs)
+def betti_set(pairs):
+    return {(d, tuple(sorted(betti.items()))) for d, betti in pairs}
+
+
+def is_cm_per_face(cx, p):
+    return len({f.bit_count() for f in cx.facets}) == 1 and all(
+        all(b == 0 for k, b in betti.items() if k < d) for d, betti in link_betti_per_face(cx, p))
+
+
+def is_gorenstein_star_per_face(cx, p):
+    return is_cm_per_face(cx, p) and all(
+        betti[d] == 1 for d, betti in link_betti_per_face(cx, p))
+
+
+def is_2cm_per_face(cx, p):
+    d = dimension(cx)
+    return is_cm_per_face(cx, p) and all(
+        dimension(dl) == d and is_cm_per_face(dl, p)
+        for dl in (deletion(cx, v) for v in range(1, cx.n + 1)))
 
 
 def maximal_all_pairs(masks):
@@ -476,8 +509,31 @@ def test_cleared_homology_matches_the_uncleared_ranks(small_complexes, p):
 
 
 def test_link_walk_matches_one_link_per_face(small_complexes):
+    # The walk yields each link once up to relabelling, so the two agree as
+    # sets of (dim, Betti numbers), not face by face.
+    for p in (2, 3):
+        for cx in small_complexes:
+            assert betti_set(_link_betti(cx, p)) == betti_set(link_betti_per_face(cx, p))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reisner_tests_match_the_per_face_oracle(small_complexes, p):
     for cx in small_complexes:
-        assert betti_multiset(_link_betti(cx, 2)) == betti_multiset(link_betti_per_face(cx, 2))
+        assert is_cohen_macaulay(cx, p) == is_cm_per_face(cx, p)
+        assert is_gorenstein_star(cx, p) == is_gorenstein_star_per_face(cx, p)
+        assert is_doubly_cohen_macaulay(cx, p) == is_2cm_per_face(cx, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+    st.permutations(range(n)))), st.sampled_from([2, 3]))
+def test_relabelled_betti_matches_the_direct_computation(masks_perm, p):
+    masks, perm = masks_perm
+    n = len(perm)
+    cx = from_masks(masks, n)
+    moved = from_masks((sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in masks), n)
+    assert reduced_betti(moved, p) == betti_direct(moved, p) == betti_direct(cx, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -13,6 +13,7 @@ from srcartier.homology import (
     PrimeField,
     _check_boundary_squared,
     _eliminate,
+    _reduced_betti_cached,
     build_chain_complex,
     buchsbaum_star_refutation,
     contrastar_profile,
@@ -142,6 +143,22 @@ class TestCohenMacaulay:
         # Reisner: CM over GF(3) but not over GF(2).
         assert not is_cohen_macaulay(projective_plane, 2)
         assert is_cohen_macaulay(projective_plane, 3)
+
+    def test_cleared_cache_is_not_served_again(self):
+        # The benchmark clears the Betti cache so that a repeated input is
+        # computed again; no other memo may answer for it.
+        octahedron = build_complex(
+            [{a, b, c} for a in (1, 2) for b in (3, 4) for c in (5, 6)], 6)
+        cache = _reduced_betti_cached
+        cache.cache_clear()
+        assert is_cohen_macaulay(octahedron, 3)
+        first = cache.cache_info().misses
+        assert first > 0
+        assert is_cohen_macaulay(octahedron, 3)
+        assert cache.cache_info().misses == first
+        cache.cache_clear()
+        assert is_cohen_macaulay(octahedron, 3)
+        assert cache.cache_info().misses == first
 
 
 class TestDoublyCohenMacaulay:
