@@ -24,7 +24,23 @@ link once up to relabelling: {lk F : F ∈ Δ} is the closure of {Δ} under
 vertex links, since lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes
 with taking links, so it walks from the relabelled Δ and keeps a child
 lk_L(v) only when its relabelled facets are new.  No link is rebuilt from
-the facets of Δ.
+the facets of Δ, and a link's dimension is read off its cached Betti
+numbers, so no link is validated again as a `SimplicialComplex`.
+
+Betti numbers come from a one-star quotient.  The closed star st v of a
+vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
+complex on the faces σ with σ ∪ v ∉ Δ: the faces of the facets avoiding
+v, minus the faces of lk v.  `_reduced_betti_cached` takes v in the most
+facets.  The quotient is not reduced further (say by greedy collapses,
+whose invariance the acceptance tests check against these numbers).
+
+The Buchsbaum* certificate is in closed form: for a free pair (F, G),
+H_*(Δ, cost F) = 0 and H_*(Δ, cost G) is GF(p) in degree dim G, so the
+induced map in degree dim Δ fails to be surjective iff dim G = dim Δ
+(`buchsbaum_star_refutation`).  `relative_map_is_surjective` computes such
+maps from the two quotient complexes and is the tests' oracle for it.
+
+Every public function validates p with `PrimeField` before anything else.
 """
 
 from __future__ import annotations
@@ -156,7 +172,7 @@ def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
     leading coefficients need not be invertible and elimination would not
     terminate.
     """
-    p = PrimeField(p).p
+    PrimeField(p)
     basis: dict[int, list[int]] = {}
     for f in face_basis:
         basis.setdefault(f.bit_count() - 1, []).append(f)
@@ -235,14 +251,33 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
 
 @lru_cache(maxsize=1 << 17)
 def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    """Keyed by the relabelled facets of an already validated complex."""
-    dims = build_chain_complex(faces_of_facets(facets), p).homology_dims()
+    """(k, H̃_k) for k = -1..dim Δ, keyed by the relabelled facets of an
+    already validated complex and a validated prime.
+
+    Built on the quotient by the star of the vertex v in the most facets
+    (the lowest such bit): the faces σ with σ ∪ v ∉ Δ, i.e. the faces of the
+    facets avoiding v that are not in lk v.  The quotient is empty iff Δ
+    is a cone over v, and then every reduced Betti number is 0.
+    """
     d = max(f.bit_count() for f in facets) - 1
+    if d < 0:
+        return ((-1, 1),)
+    count: dict[int, int] = {}
+    for f in facets:
+        while f:
+            low = f & -f
+            count[low] = count.get(low, 0) + 1
+            f ^= low
+    v = min(count, key=lambda b: (-count[b], b))
+    quotient = (faces_of_facets(f for f in facets if not f & v)
+                - faces_of_facets(f ^ v for f in facets if f & v))
+    dims = build_chain_complex(quotient, p).homology_dims()
     return tuple((k, dims.get(k, 0)) for k in range(-1, d + 1))
 
 
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
+    PrimeField(p)
     return dict(_reduced_betti_cached(_relabelled(cx.facets)[1], p))
 
 
@@ -266,6 +301,7 @@ def relative_map_is_surjective(
     larger contrastar.  Returns (surjective, rank of the induced map,
     dimension of the target homology).
     """
+    PrimeField(p)
     if small & ~big:
         raise ValueError("first face must be contained in the second")
     if not is_face(cx, big):
@@ -293,19 +329,20 @@ def relative_map_is_surjective(
 def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
     """(dim L, reduced Betti numbers of L over GF(p)) once for each link L
     of a face of Δ up to relabelling, lazily.  The Betti numbers sit in
-    degrees -1..dim L.
+    degrees -1..dim L, so the last one gives dim L.
 
     Starts from the relabelled Δ = lk ∅; the children of L are its vertex
     links lk_L(v), relabelled, and lk(F ∪ v) = lk_{lk F}(v) (Reisner,
-    1976), so every link of a face is reached.
+    1976), so every link of a face is reached.  A vertex link of an
+    antichain is an antichain, so no link is validated again.
     """
     k, facets = _relabelled(cx.facets)
     seen = {facets}
     stack = [(k, facets)]
     while stack:
         k, facets = stack.pop()
-        lk = SimplicialComplex(k, facets)
-        yield dimension(lk), dict(_reduced_betti_cached(facets, p))
+        betti = _reduced_betti_cached(facets, p)
+        yield betti[-1][0], dict(betti)
         for i in range(k):
             v = 1 << i
             child = _relabelled([f & ~v for f in facets if f & v])
@@ -316,6 +353,7 @@ def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, 
 
 def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
     """Reisner's criterion: links have no reduced homology below their dim."""
+    PrimeField(p)
     # Betti numbers are nonnegative, so the sum is the top one iff the rest vanish.
     return is_pure(cx) and all(
         sum(betti.values()) == betti[d] for d, betti in _link_betti(cx, p))
@@ -323,6 +361,7 @@ def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
 
 def is_doubly_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
     """CM, and deleting any vertex stays CM of the same dimension."""
+    # is_cohen_macaulay validates p before its first shortcut.
     if not is_cohen_macaulay(cx, p):
         return False
     d = dimension(cx)
@@ -339,11 +378,13 @@ def is_doubly_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
 def is_gorenstein_star(cx: SimplicialComplex, p: int = 2) -> bool:
     """Every link is a homology sphere over GF(p) (vanishing below the top,
     one-dimensional on top)."""
+    PrimeField(p)
     return is_pure(cx) and all(
         sum(betti.values()) == betti[d] == 1 for d, betti in _link_betti(cx, p))
 
 
 def is_gorenstein(cx: SimplicialComplex, p: int = 2) -> bool:
+    PrimeField(p)
     return is_gorenstein_star(core(cx).complex, p)
 
 
@@ -361,20 +402,31 @@ def buchsbaum_star_refutation(cx: SimplicialComplex, p: int = 2) -> Optional[Buc
     Either Δ is a cone over a vertex, or it has a free-face pair whose
     induced map on top relative homology fails to be surjective.  Absence
     of a certificate proves nothing.
+
+    The second kind is in closed form.  Let (F, G) be a free pair: G is
+    the only facet over F, and |G| = |F| + 1.  Only F and G contain F, so
+    the chain complex of (Δ, cost F) is GF(p)·G -> GF(p)·F with ∂G = ±F,
+    an isomorphism, and H_*(Δ, cost F) = 0.  Only G contains G, so
+    H_*(Δ, cost G) is one-dimensional, in degree dim G.  In degree
+    d = dim Δ the map H_d(Δ, cost F) -> H_d(Δ, cost G) is therefore 0 -> 0
+    unless dim G = d, and then 0 -> GF(p): rank 0 < target dimension 1,
+    for every p.  So the certificate is the first free pair whose facet has
+    d + 1 vertices; `relative_map_is_surjective` computes the same ranks.
     """
+    PrimeField(p)
     cone = cone_vertices(cx)
     if cone:
         return BuchsbaumStarRefutation("cone", mask_vertices(cone)[0], None, None, None)
-    d = dimension(cx)
+    top = dimension(cx) + 1
     for pair in free_faces(cx):
-        cert = relative_map_is_surjective(cx, pair.free_face, pair.facet, d, p)
-        if not cert.surjective:
-            return BuchsbaumStarRefutation("free_face", None, pair, cert.rank, cert.target_dim)
+        if pair.facet.bit_count() == top:
+            return BuchsbaumStarRefutation("free_face", None, pair, 0, 1)
     return None
 
 
 def contrastar_profile(cx: SimplicialComplex, face: int, p: int = 2) -> dict[int, int]:
     """H_*(Δ, cost F) in degrees 0..dim Δ; reduced homology of Δ if F = ∅."""
+    PrimeField(p)
     if face == 0:
         return reduced_betti(cx, p)
     if not is_face(cx, face):

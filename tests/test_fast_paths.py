@@ -11,7 +11,10 @@ definition of I^[q] : I on complexes too large for `colon`.  In homology,
 the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
-its cache; and `_maximal` against the all-pairs comparison it replaces.
+its cache; the one-star quotient behind `reduced_betti` against the
+chain complex on all faces; the closed-form Buchsbaum* certificate against
+the ranks of the induced maps; and `_maximal` against the all-pairs
+comparison it replaces.
 """
 
 import random
@@ -40,6 +43,7 @@ from srcartier.complexes import (
     _maximal,
     build_complex,
     collapse_greedy,
+    cone_vertices,
     elementary_collapse,
     face_key,
     free_faces,
@@ -50,18 +54,22 @@ from srcartier.complexes import (
     join_with_simplex,
     link,
     minimal_nonfaces,
+    mask_vertices,
     vertex_mask,
 )
 from srcartier import complexes
 from srcartier.homology import (
+    BuchsbaumStarRefutation,
     _contrastar_quotient,
     _eliminate,
     _link_betti,
     build_chain_complex,
+    buchsbaum_star_refutation,
     is_cohen_macaulay,
     is_doubly_cohen_macaulay,
     is_gorenstein_star,
     reduced_betti,
+    relative_map_is_surjective,
 )
 from srcartier.monomials import (
     MonomialIdeal,
@@ -483,6 +491,21 @@ def is_2cm_per_face(cx, p):
         for dl in (deletion(cx, v) for v in range(1, cx.n + 1)))
 
 
+def buchsbaum_refutation_by_ranks(cx, p):
+    """A cone vertex, else the first free pair (F, G) whose induced map
+    H_d(Δ, cost F) -> H_d(Δ, cost G), d = dim Δ, is not surjective, with
+    the rank and target dimension computed on the quotient complexes."""
+    cone = cone_vertices(cx)
+    if cone:
+        return BuchsbaumStarRefutation("cone", mask_vertices(cone)[0], None, None, None)
+    d = dimension(cx)
+    for pair in free_faces(cx):
+        cert = relative_map_is_surjective(cx, pair.free_face, pair.facet, d, p)
+        if not cert.surjective:
+            return BuchsbaumStarRefutation("free_face", None, pair, cert.rank, cert.target_dim)
+    return None
+
+
 def maximal_all_pairs(masks):
     """Every set against every kept larger-or-equal set."""
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())
@@ -522,6 +545,37 @@ def test_reisner_tests_match_the_per_face_oracle(small_complexes, p):
         assert is_cohen_macaulay(cx, p) == is_cm_per_face(cx, p)
         assert is_gorenstein_star(cx, p) == is_gorenstein_star_per_face(cx, p)
         assert is_doubly_cohen_macaulay(cx, p) == is_2cm_per_face(cx, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_one_star_quotient_matches_the_full_complex(small_complexes, p):
+    for cx in small_complexes:
+        assert reduced_betti(cx, p) == betti_direct(cx, p)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("facets, n, expected", [
+    ([], 1, {-1: 1}),                                   # {∅}: no vertex to cone from
+    ([], 4, {-1: 1}),
+    ([{1}], 1, {-1: 0, 0: 0}),                          # a point: quotient empty
+    ([{1, 2, 3}], 3, {-1: 0, 0: 0, 1: 0, 2: 0}),        # a simplex
+    ([{1, 2, 4}, {2, 3, 4}, {1, 3, 4}], 4, {-1: 0, 0: 0, 1: 0, 2: 0}),  # cone over a circle
+    ([{1, 4}, {2, 4}, {3, 4}], 4, {-1: 0, 0: 0, 1: 0}),  # cone over three points
+    ([{1, 2}, {3}], 3, {-1: 0, 0: 1, 1: 0}),               # not a cone
+])
+def test_one_star_quotient_on_cones_and_the_empty_face(facets, n, expected, p):
+    cx = build_complex(facets, n)
+    assert reduced_betti(cx, p) == betti_direct(cx, p) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_certificate_matches_the_ranks(small_complexes, p):
+    kinds = set()
+    for cx in small_complexes:
+        cert = buchsbaum_star_refutation(cx, p)
+        assert cert == buchsbaum_refutation_by_ranks(cx, p)
+        kinds.add(cert and cert.kind)
+    assert kinds == {"cone", "free_face", None}
 
 
 @settings(max_examples=200, deadline=None)

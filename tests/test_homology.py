@@ -248,6 +248,39 @@ class TestField:
                 reduced_betti(hollow_triangle, bad)
 
 
+# Inputs on which an early exit could return before any chain complex is
+# built: a cone, {∅}, a non-pure complex with no cone vertex, and the
+# smallest complex with a free-face certificate.
+SHORTCUT_COMPLEXES = {
+    "cone": build_complex([{1, 2, 4}, {2, 3, 4}, {1, 3, 4}], 4),
+    "empty_face": build_complex([], 2),
+    "non_pure": build_complex([{1, 2, 3}, {3, 4}, {1, 4}], 4),
+    "vertex_and_edge": build_complex([{1, 3}, {2}], 3),
+}
+
+PUBLIC_FUNCTIONS = {
+    "reduced_betti": reduced_betti,
+    "is_cohen_macaulay": is_cohen_macaulay,
+    "is_doubly_cohen_macaulay": is_doubly_cohen_macaulay,
+    "is_gorenstein_star": is_gorenstein_star,
+    "is_gorenstein": is_gorenstein,
+    "buchsbaum_star_refutation": buchsbaum_star_refutation,
+    "contrastar_profile": lambda cx, p: contrastar_profile(cx, max(cx.facets), p),
+    "relative_map_is_surjective": lambda cx, p: relative_map_is_surjective(
+        cx, 0, max(cx.facets), max(cx.facets).bit_count() - 1, p),
+}
+
+
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("name", sorted(PUBLIC_FUNCTIONS))
+@pytest.mark.parametrize("cx_name", sorted(SHORTCUT_COMPLEXES))
+def test_public_functions_validate_the_field_first(cx_name, name, p):
+    fn, cx = PUBLIC_FUNCTIONS[name], SHORTCUT_COMPLEXES[cx_name]
+    fn(cx, 2)  # the arguments are valid apart from the field
+    with pytest.raises(ValueError, match=f"{p} is "):
+        fn(cx, p)
+
+
 def _span(vectors, p, ncols):
     """Every GF(p) combination of the given sparse vectors, as dense tuples."""
     out = set()
