@@ -19,13 +19,15 @@ span of the other rows (because ∂² = 0), so it is left out (Chen–Kerber,
 Reisner's criterion reads only (dim, H̃_*) of each link, and both are
 invariant under relabelling the vertices.  `_relabelled` maps the support
 vertices of a facet set, in increasing order, to bits 0..k-1, and Betti
-numbers are cached by the relabelled facets.  `_link_betti` visits each
-link once up to relabelling: {lk F : F ∈ Δ} is the closure of {Δ} under
-vertex links, since lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes
-with taking links, so it walks from the relabelled Δ and keeps a child
-lk_L(v) only when its relabelled facets are new.  No link is rebuilt from
-the facets of Δ, and a link's dimension is read off its cached Betti
-numbers, so no link is validated again as a `SimplicialComplex`.
+numbers are cached by the relabelled facets.  `_link_keys` lists each link
+once up to relabelling: {lk F : F ∈ Δ} is the closure of {Δ} under vertex
+links, since lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes with
+taking links.  It reaches each face along one chain that adds vertices in
+increasing order: an entry (L, t) expands only the vertices i ≥ t of L,
+and the child lk_L(i) gets the threshold "its vertices below i".  A child
+seen before is expanded again only below its least earlier threshold.  No
+link is rebuilt from the facets of Δ, and a link's dimension is read off
+its cached Betti numbers, so no link is validated again.
 
 Betti numbers come from a one-star quotient.  The closed star st v of a
 vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
@@ -37,8 +39,10 @@ whose invariance the acceptance tests check against these numbers).
 The Buchsbaum* certificate is in closed form: for a free pair (F, G),
 H_*(Δ, cost F) = 0 and H_*(Δ, cost G) is GF(p) in degree dim G, so the
 induced map in degree dim Δ fails to be surjective iff dim G = dim Δ
-(`buchsbaum_star_refutation`).  `relative_map_is_surjective` computes such
-maps from the two quotient complexes and is the tests' oracle for it.
+(`buchsbaum_star_refutation`).  Every facet over a ridge of a top facet
+is top, so only the top facets' ridges are counted.
+`relative_map_is_surjective` computes such maps from the two quotient
+complexes and is the tests' oracle for it.
 
 Every public function validates p with `PrimeField` before anything else.
 """
@@ -57,7 +61,7 @@ from .complexes import (
     deletion,
     dimension,
     faces_of_facets,
-    free_faces,
+    face_key,
     FreeFacePair,
     is_face,
     is_pure,
@@ -232,8 +236,8 @@ def _check_boundary_squared(boundaries: dict[int, list[Row]], p: int):
 
 
 def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
-    """The number k of support vertices and the facets with those vertices,
-    in increasing order, mapped to bits 0..k-1."""
+    """The support of the facets, as a mask, and the facets with its k
+    vertices, in increasing order, mapped to bits 0..k-1."""
     facets = list(facets)
     support = 0
     for f in facets:
@@ -246,7 +250,7 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
         keep = (1 << low) - 1
         facets = [f & keep | (f >> (top - low)) & ~keep for f in facets]
         gaps &= keep
-    return support.bit_count(), frozenset(facets)
+    return support, frozenset(facets)
 
 
 @lru_cache(maxsize=1 << 17)
@@ -326,29 +330,46 @@ def relative_map_is_surjective(
     return RankCertificate(rank_map == target_dim, rank_map, target_dim)
 
 
+def _link_keys(cx: SimplicialComplex) -> Iterator[frozenset[int]]:
+    """The relabelled facets of each link of a face of Δ, once each and
+    lazily, Δ's own first.
+
+    A stack entry (L, lo, hi) expands the vertices lo <= i < hi of L; the
+    child C = lk_L(i) has threshold t, the number of C's vertices below i.
+    Every face {g_1 < ... < g_m} is reached along ∅ ⊂ {g_1} ⊂ ... by
+    vertices at or above each threshold, since relabelling keeps the
+    order, and the children of (L, t) depend only on L and t and shrink as
+    t grows.  So C need only be expanded from the least threshold it is
+    reached with: over [t, k_C) when new, and over [t, best[C]) when t is
+    lower than before.  A vertex link of an antichain is an antichain.
+    """
+    support, facets = _relabelled(cx.facets)
+    yield facets
+    best = {facets: 0}
+    stack = [(facets, 0, support.bit_count())]
+    while stack:
+        facets, lo, hi = stack.pop()
+        for i in range(lo, hi):
+            v = 1 << i
+            support, child = _relabelled([f ^ v for f in facets if f & v])
+            t = (support & (v - 1)).bit_count()
+            end = best.get(child)
+            if end is None:
+                yield child
+                end = support.bit_count()
+            elif end <= t:
+                continue
+            best[child] = t
+            stack.append((child, t, end))
+
+
 def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
     """(dim L, reduced Betti numbers of L over GF(p)) once for each link L
     of a face of Δ up to relabelling, lazily.  The Betti numbers sit in
-    degrees -1..dim L, so the last one gives dim L.
-
-    Starts from the relabelled Δ = lk ∅; the children of L are its vertex
-    links lk_L(v), relabelled, and lk(F ∪ v) = lk_{lk F}(v) (Reisner,
-    1976), so every link of a face is reached.  A vertex link of an
-    antichain is an antichain, so no link is validated again.
-    """
-    k, facets = _relabelled(cx.facets)
-    seen = {facets}
-    stack = [(k, facets)]
-    while stack:
-        k, facets = stack.pop()
+    degrees -1..dim L, so the last one gives dim L."""
+    for facets in _link_keys(cx):
         betti = _reduced_betti_cached(facets, p)
         yield betti[-1][0], dict(betti)
-        for i in range(k):
-            v = 1 << i
-            child = _relabelled([f & ~v for f in facets if f & v])
-            if child[1] not in seen:
-                seen.add(child[1])
-                stack.append(child)
 
 
 def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
@@ -410,18 +431,37 @@ def buchsbaum_star_refutation(cx: SimplicialComplex, p: int = 2) -> Optional[Buc
     H_*(Δ, cost G) is one-dimensional, in degree dim G.  In degree
     d = dim Δ the map H_d(Δ, cost F) -> H_d(Δ, cost G) is therefore 0 -> 0
     unless dim G = d, and then 0 -> GF(p): rank 0 < target dimension 1,
-    for every p.  So the certificate is the first free pair whose facet has
-    d + 1 vertices; `relative_map_is_surjective` computes the same ranks.
+    for every p.  So the certificate is the free pair, least in `face_key`
+    order of F, whose facet has d + 1 vertices; `relative_map_is_surjective`
+    computes the same ranks.
+
+    Only the top facets need be read.  Let F be a ridge of a facet G with
+    d + 1 vertices.  A face over F other than F has at least d + 1
+    vertices, and F is no facet, since F ⊂ G and the facets form an
+    antichain.  So every facet over F has d + 1 vertices, and F is free iff
+    it is a ridge of exactly one top facet.  For d < 1 the only ridge is
+    the empty face, which is never taken as free.
     """
     PrimeField(p)
     cone = cone_vertices(cx)
     if cone:
         return BuchsbaumStarRefutation("cone", mask_vertices(cone)[0], None, None, None)
     top = dimension(cx) + 1
-    for pair in free_faces(cx):
-        if pair.facet.bit_count() == top:
-            return BuchsbaumStarRefutation("free_face", None, pair, 0, 1)
-    return None
+    if top < 2:
+        return None
+    over: dict[int, Optional[int]] = {}
+    for g in cx.facets:
+        if g.bit_count() == top:
+            rest = g
+            while rest:
+                low = rest & -rest
+                ridge = g ^ low
+                over[ridge] = None if ridge in over else g
+                rest ^= low
+    free = min((ridge for ridge, g in over.items() if g is not None), key=face_key, default=None)
+    if free is None:
+        return None
+    return BuchsbaumStarRefutation("free_face", None, FreeFacePair(free, over[free]), 0, 1)
 
 
 def contrastar_profile(cx: SimplicialComplex, face: int, p: int = 2) -> dict[int, int]:

@@ -11,10 +11,12 @@ definition of I^[q] : I on complexes too large for `colon`.  In homology,
 the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
-its cache; the one-star quotient behind `reduced_betti` against the
-chain complex on all faces; the closed-form Buchsbaum* certificate against
-the ranks of the induced maps; and `_maximal` against the all-pairs
-comparison it replaces.
+its cache; the increasing-chain walk against the unpruned walk it
+replaced, link for link; the one-star quotient behind `reduced_betti`
+against the chain complex on all faces; the closed-form Buchsbaum*
+certificate against the ranks of the induced maps and against the first
+top-dimensional pair of `free_faces`; and `_maximal` against the
+all-pairs comparison it replaces.
 """
 
 import random
@@ -63,6 +65,9 @@ from srcartier.homology import (
     _contrastar_quotient,
     _eliminate,
     _link_betti,
+    _link_keys,
+    _reduced_betti_cached,
+    _relabelled,
     build_chain_complex,
     buchsbaum_star_refutation,
     is_cohen_macaulay,
@@ -506,6 +511,45 @@ def buchsbaum_refutation_by_ranks(cx, p):
     return None
 
 
+def link_keys_unpruned(cx):
+    """The relabelled facets of every link up to relabelling: each new link
+    L expands every vertex of L, and a child is kept if not yet seen."""
+    support, facets = _relabelled(cx.facets)
+    seen = {facets}
+    stack = [(support.bit_count(), facets)]
+    keys = []
+    while stack:
+        k, facets = stack.pop()
+        keys.append(facets)
+        for i in range(k):
+            v = 1 << i
+            support, child = _relabelled([f & ~v for f in facets if f & v])
+            if child not in seen:
+                seen.add(child)
+                stack.append((support.bit_count(), child))
+    return keys
+
+
+def first_top_free_pair(cx):
+    """A cone vertex, else the first pair of `free_faces` whose facet has
+    dim Δ + 1 vertices."""
+    cone = cone_vertices(cx)
+    if cone:
+        return BuchsbaumStarRefutation("cone", mask_vertices(cone)[0], None, None, None)
+    top = dimension(cx) + 1
+    for pair in free_faces(cx):
+        if pair.facet.bit_count() == top:
+            return BuchsbaumStarRefutation("free_face", None, pair, 0, 1)
+    return None
+
+
+def check_link_keys(cx):
+    keys = list(_link_keys(cx))
+    assert keys[0] == _relabelled(cx.facets)[1]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(link_keys_unpruned(cx))
+
+
 def maximal_all_pairs(masks):
     """Every set against every kept larger-or-equal set."""
     uniq = sorted(set(masks), key=lambda m: -m.bit_count())
@@ -537,6 +581,27 @@ def test_link_walk_matches_one_link_per_face(small_complexes):
     for p in (2, 3):
         for cx in small_complexes:
             assert betti_set(_link_betti(cx, p)) == betti_set(link_betti_per_face(cx, p))
+
+
+def test_increasing_chains_visit_the_links_of_the_unpruned_walk(small_complexes):
+    for cx in small_complexes:
+        check_link_keys(cx)
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes(max_n=9))
+def test_increasing_chains_match_the_unpruned_walk_up_to_n9(cx):
+    check_link_keys(cx)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reisner_test_stops_at_the_complex_itself(p):
+    # Two disjoint hollow triangles: pure, with H̃_0 ≠ 0, so Δ's own Betti
+    # numbers, yielded first, already refute Cohen-Macaulayness.
+    cx = build_complex([{1, 2}, {1, 3}, {2, 3}, {4, 5}, {4, 6}, {5, 6}], 6)
+    _reduced_betti_cached.cache_clear()
+    assert not is_cohen_macaulay(cx, p)
+    assert _reduced_betti_cached.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -576,6 +641,12 @@ def test_closed_form_certificate_matches_the_ranks(small_complexes, p):
         assert cert == buchsbaum_refutation_by_ranks(cx, p)
         kinds.add(cert and cert.kind)
     assert kinds == {"cone", "free_face", None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(complexes(max_n=9), st.sampled_from([2, 3]))
+def test_top_ridge_certificate_matches_the_first_top_free_pair(cx, p):
+    assert buchsbaum_star_refutation(cx, p) == first_top_free_pair(cx)
 
 
 @settings(max_examples=200, deadline=None)
