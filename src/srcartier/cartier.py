@@ -11,6 +11,9 @@ For a Stanley-Reisner ideal the colon I^[q] : I is read off the primary
 decomposition I = ∩_F (x_i : i ∉ F) over the facets F
 (`_sr_colon_pairs`), with no ideal arithmetic and for every q at once;
 only the nonfaces and the facets are read, never the free faces.  The
+route stays on vertex bitmasks until both sides become monomials: the rhs
+is x_V^{q-1} with x_g^q for each minimal nonface g ≠ V, minimal as it
+stands (see `_colon_identity`), so neither side is minimized.  The
 general `monomials.colon` serves every other monomial ideal.
 """
 
@@ -213,42 +216,59 @@ def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
     vertices of the complex).
 
     A squarefree proper ideal is the Stanley-Reisner ideal of
-    `complex_of_ideal(ideal)`, and its lhs comes from `_sr_colon_pairs` on
-    the facets of that complex.  Any other ideal (one with a generator that
-    is not squarefree, or the unit ideal) goes through the general
-    `monomials.colon`, and so does a squarefree ideal whose dualization
-    passes `_FACETS_PER_GENERATOR` sets per generator: k disjoint edges
-    have 2^k facets, while `monomials.colon` stays polynomial there.
+    `complex_of_ideal(ideal)`, whose minimal nonfaces are the generator
+    supports, and both sides come from `_colon_identity`.  Any other ideal
+    (one with a generator that is not squarefree, or the unit ideal) goes
+    through the general `monomials.colon`, and so does a squarefree ideal
+    whose dualization passes `_FACETS_PER_GENERATOR` sets per generator:
+    k disjoint edges have 2^k facets, while `monomials.colon` stays
+    polynomial there.
     """
-    squarefree = not ideal.is_unit() and all(mono.is_squarefree(g) for g in ideal.gens)
-    facets = None
-    if squarefree:
+    if not ideal.is_unit() and all(mono.is_squarefree(g) for g in ideal.gens):
         facets = _facets_of_ideal(ideal, _FACETS_PER_GENERATOR * len(ideal.gens))
-    return _colon_identity(ideal, q, facets)
-
-
-def _colon_identity(ideal: MonomialIdeal, q: int,
-                    facets: Optional[Iterable[int]]) -> ColonIdentity:
-    """The identity, given the facets of the complex of a squarefree
-    proper ideal, or None for any other ideal."""
-    n = ideal.n
+        if facets is not None:
+            return _colon_identity(ideal.n, q, _supports(ideal), facets)
     frob = mono.frobenius_power(ideal, q)
-    if facets is None:
-        lhs = mono.colon(frob, ideal)
-    else:
-        lhs = MonomialIdeal(n, frozenset(
-            tuple(q if b >> i & 1 else (q - 1 if a >> i & 1 else 0) for i in range(n))
-            for a, b in _sr_colon_pairs(facets, _supports(ideal), n)))
-    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(n))
-    return ColonIdentity(lhs, mono.add(frob, mono.principal(xv)))
+    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
+    return ColonIdentity(mono.colon(frob, ideal), mono.add(frob, mono.principal(xv)))
+
+
+def _pair_ideal(pairs: Iterable[tuple[int, int]], q: int, n: int) -> MonomialIdeal:
+    """The ideal of the monomials x_B^q · x_{A∖B}^{q-1}, over pairs (A, B)
+    of bitmasks with B ⊆ A, given minimal already."""
+    bits = [1 << i for i in range(n)]
+    return MonomialIdeal(n, frozenset(
+        tuple(q if b & s else (q - 1 if a & s else 0) for s in bits) for a, b in pairs))
+
+
+def _colon_identity(n: int, q: int, nonfaces: list[int],
+                    facets: Iterable[int]) -> ColonIdentity:
+    """The identity for the Stanley-Reisner ideal I of the complex on [n]
+    with these minimal nonfaces and facets, all bitmasks.
+
+    The lhs comes from `_sr_colon_pairs`, whose first pair is (V, ∅), V
+    the non-cone vertices.  The rhs I^[q] + (x_V^{q-1}) is generated by
+    x_V^{q-1} and x_g^q for each minimal nonface g ≠ V, with no
+    minimization.  Every minimal nonface g lies in V: for a cone vertex c
+    in g, a facet over the face g∖c would hold c and so g.  So x_V^{q-1}
+    divides x_g^q only when g = V; no x_g^q divides x_V^{q-1}, because
+    q > q-1 and g is not empty; and the x_g^q form an antichain, because
+    the g do.
+    """
+    if q < 2:
+        raise ValueError(f"q={q} must be >= 2")
+    if nonfaces and q > mono.EXPONENT_CAP:
+        raise OverflowError(f"exponent exceeds cap {mono.EXPONENT_CAP}")
+    pairs = _sr_colon_pairs(facets, nonfaces, n)
+    v = pairs[0][0]
+    rhs = [(v, 0)] + [(g, g) for g in nonfaces if g != v]
+    return ColonIdentity(_pair_ideal(pairs, q, n), _pair_ideal(rhs, q, n))
 
 
 def ideal_test(cx: SimplicialComplex, q: int = 2) -> ColonIdentity:
     """The colon-ideal criterion with the support-vertex product on the right.
     For the full simplex (zero ideal) both sides are the unit ideal."""
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    return _colon_identity(ideal_of_complex(cx), q, cx.facets)
+    return _colon_identity(cx.n, q, minimal_nonfaces(cx), cx.facets)
 
 
 def witness_monomial(cx: SimplicialComplex, pair: FreeFacePair) -> Monomial:
@@ -303,7 +323,7 @@ def _core_facets_original(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(vmap[i] for i in range(len(vmap)) if mask >> i & 1)
+    return tuple(vmap[i - 1] for i in mask_vertices(mask))
 
 
 def _colon_strings(identity: ColonIdentity) -> dict:
@@ -357,11 +377,12 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
         first = scan.pairs[0]
         witness = (_relabel(first.free_face, scan.vmap), _relabel(first.facet, scan.vmap))
         monomial = mono.format_monomial(witness_monomial(scan.core, first))
+    # The core's vertex map lists V, and relabelling keeps the facet order.
     return ClassificationReport(
         verdict=scan.verdict,
         n=cx.n,
-        support_v=mask_vertices(support_vertices(cx)),
-        core_facets=_core_facets_original(cx),
+        support_v=scan.vmap,
+        core_facets=tuple(_relabel(f, scan.vmap) for f in scan.core.sorted_facets()),
         free_face_witness=witness,
         monomial_witness=monomial,
     )

@@ -35,12 +35,10 @@ def vertex_mask(vertices: Iterable[int], n: int) -> int:
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of 1-based vertex labels."""
     out = []
-    v = 1
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
     return tuple(out)
 
 
@@ -166,23 +164,33 @@ def dimension(cx: SimplicialComplex) -> int:
 def free_faces(cx: SimplicialComplex) -> list[FreeFacePair]:
     """All pairs (F, G) with G the unique facet over F and |G| = |F|+1.
 
-    Only the ridges F = G minus v of a facet G with |G| >= 2 qualify; such
-    an F is free iff no other facet contains it.  The empty face is
-    excluded: removing it would not preserve the homotopy type, and any
-    complex where it qualifies is a cone.
+    Only the ridges F = G minus v of a facet G with |G| >= 2 qualify.  A
+    facet H over F is not F itself, since F lies inside the facet G, so H
+    has at least |G| vertices, and F is a ridge of H if it has exactly |G|.
+    So F is free iff it is the ridge of one facet of size |G| and no larger
+    facet contains it; no smaller facet can.  The facets are taken by
+    size, largest first: the ridges of one size are counted, and each
+    ridge counted once is tested against the larger facets only.  The
+    empty face is excluded: removing it would not preserve the homotopy
+    type, and any complex where it qualifies is a cone.
     """
-    pairs = []
+    by_size: dict[int, list[int]] = {}
     for g in cx.facets:
-        if g.bit_count() < 2:
-            continue
-        others = [h for h in cx.facets if h != g]
-        for v in _bits(g):
-            face = g & ~v
-            for h in others:
-                if face & ~h == 0:
-                    break
-            else:
-                pairs.append(FreeFacePair(face, g))
+        by_size.setdefault(g.bit_count(), []).append(g)
+    pairs = []
+    larger: list[int] = []
+    for size in sorted(by_size, reverse=True):
+        layer = by_size[size]
+        if size >= 2:
+            owner: dict[int, int] = {}   # ridge -> its facet, or 0 if shared
+            for g in layer:
+                for v in _bits(g):
+                    r = g ^ v
+                    owner[r] = 0 if r in owner else g
+            for r, g in owner.items():
+                if g and all(r & ~h for h in larger):
+                    pairs.append(FreeFacePair(r, g))
+        larger += layer
     pairs.sort(key=lambda p: face_key(p.free_face))
     return pairs
 

@@ -89,12 +89,7 @@ def parse_monomial(text: str, n: int | None = None) -> Monomial:
 
 
 def format_monomial(m: Monomial) -> str:
-    parts = []
-    for i, e in enumerate(m, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
+    parts = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(m, start=1) if e > 0]
     return "*".join(parts) if parts else "1"
 
 
@@ -174,7 +169,8 @@ def _colon_packed(a: list[int], g: Monomial, width: int) -> list[int]:
 # -- ideals ------------------------------------------------------------------
 
 def _sort_gens(gens: Iterable[Monomial]) -> list[Monomial]:
-    return sorted(gens, key=lambda m: (sum(m), tuple(-e for e in m)))
+    # A list of negated exponents compares as the tuple would, built faster.
+    return sorted(gens, key=lambda m: (sum(m), [-e for e in m]))
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,7 @@ class MonomialIdeal:
         for g in self.gens:
             if len(g) != self.n:
                 raise ValueError("generator length differs from ambient n")
-            if any(e < 0 or e > EXPONENT_CAP for e in g):
+            if min(g, default=0) < 0 or max(g, default=0) > EXPONENT_CAP:
                 raise ValueError("exponent out of range")
 
     def is_zero(self) -> bool:

@@ -17,7 +17,7 @@ from srcartier.cartier import (
     random_complex,
     witness_monomial,
 )
-from srcartier import cartier
+from srcartier import cartier, monomials
 from srcartier.complexes import (
     FreeFacePair,
     build_complex,
@@ -167,6 +167,30 @@ class TestClassify:
                           "facet", "witness_monomial", "colon_lhs", "colon_rhs"}
         assert d["verdict"] == "infgen"
         assert d["free_face"] == [1] and d["facet"] == [1, 3]
+
+    def test_one_dualization_and_one_core_per_call(self, monkeypatch, whiskered_tetra,
+                                                   vertex_and_edge, cone_over_hollow):
+        # The ideal route builds both sides from the nonface masks: no
+        # generator tuples to re-read, no Frobenius power, no minimizing sum.
+        calls = {}
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("minimal_nonfaces", "core", "ideal_of_complex"):
+            count(cartier, name)
+        for name in ("frobenius_power", "add"):
+            count(monomials, name)
+        for cx in (whiskered_tetra, vertex_and_edge, cone_over_hollow, full_simplex(3)):
+            for q in (2, 3):
+                calls.clear()
+                classify(cx, q)
+                assert calls == {"minimal_nonfaces": 1, "core": 1}
 
     def test_disagreement_raises(self, vertex_and_edge, monkeypatch):
         good = classify_via_free_face(vertex_and_edge)

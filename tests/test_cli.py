@@ -336,6 +336,14 @@ class TestCrossValidate:
         assert code == 2 and "FAIL" in out
 
 
+@pytest.mark.parametrize("command, code_at_cap", [("classify", 3), ("colon", 0)])
+def test_q_past_the_exponent_cap_is_input_error(capsys, infgen_file, command, code_at_cap):
+    code, _, err = run(capsys, command, infgen_file, "--q", "65536")
+    assert code == code_at_cap and err == ""
+    assert run(capsys, command, infgen_file, "--q", "65537") == (
+        1, "", "error: exponent exceeds cap 65536\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "{infgen}", "--q", "1"),
     ("classify", "{infgen}", "--q", "100000"),

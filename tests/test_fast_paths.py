@@ -4,10 +4,14 @@ checked against the plain definitions they replace.
 Each reference below is a direct scan: all 2^n subsets for the minimal
 nonfaces and for the complex of an ideal, all faces for the free faces and
 for an elementary collapse, and every quotient `colon_mono(m, g)` and
-pairwise lcm for an intersection or a colon.  The fast paths must return
-the same list in the same order.  The Stanley-Reisner colon kernel is
-checked against the general `colon` on small complexes, and against the
-definition of I^[q] : I on complexes too large for `colon`.  In homology,
+pairwise lcm for an intersection or a colon.  The ridge count behind
+`free_faces` is also checked against the pairwise scan it replaced (every
+ridge against every other facet), and `collapse_greedy` against a greedy
+collapse driven by that scan.  The fast paths must return the same list
+in the same order.  The Stanley-Reisner colon kernel is checked against
+the general `colon` on small complexes, and against the definition of
+I^[q] : I on complexes too large for `colon`; the closed-form rhs against
+I^[q] + (x_V^{q-1}) summed and minimized by `monomials.add`.  In homology,
 the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
@@ -15,8 +19,9 @@ its cache; the increasing-chain walk against the unpruned walk it
 replaced, link for link; the one-star quotient behind `reduced_betti`
 against the chain complex on all faces; the closed-form Buchsbaum*
 certificate against the ranks of the induced maps and against the first
-top-dimensional pair of `free_faces`; and `_maximal` against the
-all-pairs comparison it replaces.
+top-dimensional pair of `free_faces`; `_maximal` against the all-pairs
+comparison it replaces; and `mask_vertices` against a loop over every bit
+position.
 """
 
 import random
@@ -83,6 +88,7 @@ from srcartier.monomials import (
     _encode,
     _intersect_packed,
     _minimize_packed,
+    add,
     colon,
     contains,
     frobenius_power,
@@ -120,6 +126,47 @@ def free_faces_scan(cx):
             pairs.append(FreeFacePair(face, conts[0]))
     pairs.sort(key=lambda p: face_key(p.free_face))
     return pairs
+
+
+def free_faces_pairwise(cx):
+    """Every ridge of every facet against every other facet."""
+    pairs = []
+    for g in cx.facets:
+        if g.bit_count() < 2:
+            continue
+        others = [h for h in cx.facets if h != g]
+        for i in range(cx.n):
+            face = g & ~(1 << i)
+            if face != g and all(face & ~h for h in others):
+                pairs.append(FreeFacePair(face, g))
+    pairs.sort(key=lambda p: face_key(p.free_face))
+    return pairs
+
+
+def collapse_greedy_pairwise(cx):
+    seq = []
+    while pairs := free_faces_pairwise(cx):
+        cx = elementary_collapse(cx, pairs[0])
+        seq.append(pairs[0])
+    return cx, seq
+
+
+def mask_vertices_bitwise(mask):
+    """One step per bit position, zeros included."""
+    out = []
+    v = 1
+    while mask:
+        if mask & 1:
+            out.append(v)
+        mask >>= 1
+        v += 1
+    return tuple(out)
+
+
+def rhs_by_arithmetic(ideal, q):
+    """I^[q] + (x_V^{q-1}), V the variables of the generators, by `add`."""
+    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
+    return add(frobenius_power(ideal, q), principal(xv))
 
 
 def complex_of_ideal_scan(ideal):
@@ -177,6 +224,8 @@ def check_complex(cx):
     assert minimal_nonfaces(cx) == minimal_nonfaces_scan(cx)
     pairs = free_faces(cx)
     assert pairs == free_faces_scan(cx)
+    assert pairs == free_faces_pairwise(cx)
+    assert collapse_greedy(cx) == collapse_greedy_pairwise(cx)
     ideal = ideal_of_complex(cx)
     assert complex_of_ideal(ideal) == complex_of_ideal_scan(ideal)
     for pair in pairs:
@@ -360,8 +409,27 @@ def test_sr_colon_never_uses_a_cone_vertex(facets, n):
 ])
 def test_colon_identity_of_an_ideal_matches_the_colon(text):
     ideal = minimize([parse_monomial(t, 5) for t in text.split(",")], 5)
-    for q in (2, 3):
-        assert colon_identity(ideal, q).lhs == colon(frobenius_power(ideal, q), ideal)
+    for q in (2, 3, 5):
+        identity = colon_identity(ideal, q)
+        assert identity.lhs == colon(frobenius_power(ideal, q), ideal)
+        assert identity.rhs == rhs_by_arithmetic(ideal, q)
+
+
+def check_rhs(cx):
+    ideal = ideal_of_complex(cx)
+    for q in (2, 3, 5):
+        assert ideal_test(cx, q).rhs == rhs_by_arithmetic(ideal, q), (cx, q)
+
+
+def test_closed_form_rhs_matches_the_sum_on_every_small_complex(small_complexes):
+    for cx in small_complexes:
+        check_rhs(cx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_n=9))
+def test_closed_form_rhs_matches_the_sum_on_strategy_complexes(cx):
+    check_rhs(cx)
 
 
 def test_colon_identity_of_the_unit_ideal():
@@ -666,3 +734,12 @@ def test_relabelled_betti_matches_the_direct_computation(masks_perm, p):
     lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=40)))
 def test_maximal_matches_the_all_pairs_comparison(masks):
     assert _maximal(masks) == maximal_all_pairs(masks)
+
+
+def test_mask_vertices_matches_the_bitwise_loop():
+    rng = random.Random(17)
+    for _ in range(1000):
+        dense = rng.getrandbits(rng.randint(0, 1024))
+        sparse = sum(1 << rng.randrange(1024) for _ in range(rng.randint(0, 6)))
+        for mask in (dense, sparse):
+            assert mask_vertices(mask) == mask_vertices_bitwise(mask)
