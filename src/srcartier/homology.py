@@ -4,37 +4,49 @@ Chain complexes are built from face bitmasks with the ascending-vertex
 orientation.  Relative homology H_*(Δ, cost F) uses the quotient basis of
 faces of Δ outside the contrastar, which are the faces that contain F
 (`_contrastar_quotient`).  Each boundary map is stored as a list of sparse
-rows (column -> coefficient mod p), built in one pass per face, and
-∂² = 0 is checked on every build; over GF(2) the check XORs the lower
-rows packed into ints.
+rows (column -> coefficient ±1), built in one pass per face, and ∂² = 0
+is checked over Z on every build, which implies it modulo every p.
 
 One Gaussian elimination, `_eliminate`, serves every caller: it returns
 the rank, the pivot columns and, for cycle bases, the left kernel
 {x : x·M = 0}.  Over GF(2) it packs rows into ints; otherwise it reduces
-dict rows modulo p.  `homology_dims` eliminates the top degree first and
+dict rows modulo p.  With p = 0 it reduces over Z and accepts only ±1 as
+a pivot; such a rank is the rank over every GF(p), and anything else
+returns None.  `homology_dims` eliminates the top degree first and
 clears: a row of ∂_k whose face is a pivot column of ∂_{k+1} lies in the
-span of the other rows (because ∂² = 0), so it is left out (Chen–Kerber,
-"Persistent homology computation with a twist", 2011).
+span of the later rows, so it is left out (Chen–Kerber, "Persistent
+homology computation with a twist", 2011).  Both proofs are in the
+docstrings.
 
 Reisner's criterion reads only (dim, H̃_*) of each link, and both are
 invariant under relabelling the vertices.  `_relabelled` maps the support
 vertices of a facet set, in increasing order, to bits 0..k-1, and Betti
-numbers are cached by the relabelled facets.  `_link_keys` lists each link
-once up to relabelling: {lk F : F ∈ Δ} is the closure of {Δ} under vertex
-links, since lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes with
-taking links.  It reaches each face along one chain that adds vertices in
-increasing order: an entry (L, t) expands only the vertices i ≥ t of L,
-and the child lk_L(i) gets the threshold "its vertices below i".  A child
-seen before is expanded again only below its least earlier threshold.  No
-link is rebuilt from the facets of Δ, and a link's dimension is read off
-its cached Betti numbers, so no link is validated again.
+numbers are cached by the relabelled facets alone, for every prime at
+once.  `_link_keys` lists each link once up to relabelling: {lk F : F ∈ Δ}
+is the closure of {Δ} under vertex links, since lk(F ∪ v) = lk_{lk F}(v),
+and relabelling commutes with taking links.  It reaches each face along
+one chain that adds vertices in increasing order: an entry (L, t) expands
+only the vertices i ≥ t of L, and the child lk_L(i) gets the threshold
+"its vertices below i".  A child seen before is expanded again only below
+its least earlier threshold.  No link is rebuilt from the facets of Δ, and
+a link's dimension is read off its Betti numbers, so no link is validated
+again.
 
 Betti numbers come from a one-star quotient.  The closed star st v of a
 vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
 complex on the faces σ with σ ∪ v ∉ Δ: the faces of the facets avoiding
-v, minus the faces of lk v.  `_reduced_betti_cached` takes v in the most
-facets.  The quotient is not reduced further (say by greedy collapses,
-whose invariance the acceptance tests check against these numbers).
+v, minus the faces of lk v, taking v in the most facets.  The quotient
+is not reduced further (say by greedy collapses, whose invariance the
+acceptance tests check against these numbers).
+
+`_reduced_betti_cached` builds the quotient once, over Z, and stores the
+Betti numbers of a unit-pivot elimination, which hold over every GF(p)
+(universal coefficients; unit-pivot elimination is the usual first step
+of integer homology, Dumas–Heckenbach–Saunders–Welker, "Computing
+simplicial homology based on efficient Smith normal form algorithms",
+2003).  Where a pivot is not ±1, or an entry leaves (-2^31, 2^31), the
+entry is None: the numbers may depend on p, as on RP², and each lookup
+eliminates over GF(p), uncached.
 
 The Buchsbaum* certificate is in closed form: for a free pair (F, G),
 H_*(Δ, cost F) = 0 and H_*(Δ, cost G) is GF(p) in degree dim G, so the
@@ -83,21 +95,28 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
 
 
-Row = dict[int, int]  # column -> nonzero coefficient mod p
+Row = dict[int, int]  # column -> nonzero coefficient, mod p or in Z
+_ENTRY_LIMIT = 1 << 31  # integer elimination stops certifying past ±2^31
 
 
-def _subtract_multiple(dst: Row, c: int, src: Row, p: int):
-    """dst -= c·src over GF(p), dropping entries that cancel."""
+def _subtract_multiple(dst: Row, c: int, src: Row, p: int) -> bool:
+    """dst -= c·src over GF(p), or over Z if p = 0, dropping entries that
+    cancel.  Over Z, False once an entry leaves (-2^31, 2^31)."""
     for j, v in src.items():
-        x = (dst.get(j, 0) - c * v) % p
+        x = dst.get(j, 0) - c * v
+        if p:
+            x %= p
+        elif not -_ENTRY_LIMIT < x < _ENTRY_LIMIT:
+            return False
         if x:
             dst[j] = x
         else:
             del dst[j]
+    return True
 
 
 def _eliminate(rows: list[Row], p: int,
-               kernel: bool = False) -> tuple[int, list[Row], set[int]]:
+               kernel: bool = False) -> Optional[tuple[int, list[Row], set[int]]]:
     """Rank over GF(p) of the matrix with the given sparse rows, a basis of
     its left kernel {x : x·M = 0} indexed by row if `kernel` (else []), and
     the pivot columns.
@@ -106,6 +125,17 @@ def _eliminate(rows: list[Row], p: int,
     column; a row that reduces to zero contributes the combination of input
     rows that produced it.  Over GF(2) rows and combinations are packed
     into ints.
+
+    p = 0 reduces the integer rows over Z, in the same order, taking only
+    ±1 as a new pivot; it returns None as soon as a leading entry with no
+    pivot is not ±1, or an entry leaves (-2^31, 2^31), and computes no
+    kernel.  Otherwise the rank and pivots hold over every GF(p).  Each
+    step subtracts an integer multiple of an earlier row, which is
+    invertible over Z and so over every GF(p).  At the end the pivot rows
+    have distinct leading columns and leading entries ±1, nonzero modulo
+    every p, and the other rows are zero; so modulo p they are an echelon
+    basis of the same row space, and the pivot count is the rank over every
+    field.
     """
     null: list[Row] = []
     if p == 2:
@@ -128,6 +158,21 @@ def _eliminate(rows: list[Row], p: int,
                         comb &= comb - 1
                     null.append(x)
         return len(pivots2), null, {b.bit_length() - 1 for b in pivots2}
+    if p == 0:
+        units: dict[int, Row] = {}
+        for row in rows:
+            r = dict(row)
+            while r:
+                lead = min(r)
+                piv = units.get(lead)
+                if piv is None:
+                    if r[lead] not in (1, -1):
+                        return None
+                    units[lead] = r
+                    break
+                if not _subtract_multiple(r, r[lead] * piv[lead], piv, 0):
+                    return None
+        return len(units), null, set(units)
     pivots: dict[int, tuple[Row, Row]] = {}
     for i, row in enumerate(rows):
         r = {j: c % p for j, c in row.items() if c % p}
@@ -151,13 +196,26 @@ def _eliminate(rows: list[Row], p: int,
 
 
 class ChainComplexOverField(NamedTuple):
-    """Quotient chain complex on a set of faces of some complex."""
+    """Quotient chain complex on a set of faces of some complex, over GF(p),
+    or over Z if p = 0."""
 
     p: int
     basis: dict[int, list[int]]          # degree -> ordered face masks
     boundaries: dict[int, list[Row]]     # degree k -> rows of C_k -> C_{k-1}
 
-    def homology_dims(self) -> dict[int, int]:
+    def homology_dims(self) -> Optional[dict[int, int]]:
+        """dim H_k over GF(p) in each degree.  Over Z (p = 0) these are the
+        dimensions over every GF(p), or None if some ∂_k has no unit-pivot
+        elimination (`_eliminate`).
+
+        Clearing leaves out the row of ∂_k at each pivot column σ of
+        ∂_{k+1}.  The reduced row behind that pivot is the boundary of a
+        chain with coefficient ±1 at σ (over Z; a unit over GF(p)) and
+        nonzero entries only at later faces, so ∂² = 0 makes row σ of ∂_k a
+        combination of later rows, with integer coefficients over Z.  From
+        the last row down, the rows left out thus lie in the span of the
+        rows kept, over Z and modulo every p.
+        """
         ranks: dict[int, int] = {}
         pivots: dict[int, set[int]] = {}
         for k in sorted(self.boundaries, reverse=True):
@@ -165,18 +223,24 @@ class ChainComplexOverField(NamedTuple):
             cleared = pivots.get(k + 1)
             if cleared:
                 rows = [row for i, row in enumerate(rows) if i not in cleared]
-            ranks[k], _, pivots[k] = _eliminate(rows, self.p)
+            reduced = _eliminate(rows, self.p)
+            if reduced is None:
+                return None
+            ranks[k], _, pivots[k] = reduced
         return {k: len(self.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(self.basis)}
 
 
 def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
     """Chain complex on the given faces; coefficients to absent faces drop.
+    The boundary signs are ±1, so one build serves Z (p = 0) and every
+    GF(p), where -1 is the residue p - 1.
 
-    Raises ValueError unless p is a prime below 2^31: modulo a composite,
-    leading coefficients need not be invertible and elimination would not
-    terminate.
+    Raises ValueError unless p is 0 or a prime below 2^31: modulo a
+    composite, leading coefficients need not be invertible and elimination
+    would not terminate.
     """
-    PrimeField(p)
+    if p:
+        PrimeField(p)
     basis: dict[int, list[int]] = {}
     for f in face_basis:
         basis.setdefault(f.bit_count() - 1, []).append(f)
@@ -187,7 +251,7 @@ def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
     for k, faces in basis.items():
         rows = []
         for f in faces:
-            # Dropping the i-th lowest vertex has sign (-1)^i, i.e. 1 or p - 1.
+            # Dropping the i-th lowest vertex has sign (-1)^i.
             row: Row = {}
             sign = 1
             rest = f
@@ -196,43 +260,27 @@ def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
                 j = index.get(f ^ low)
                 if j is not None:
                     row[j] = sign
-                sign = p - sign
+                sign = -sign
                 rest ^= low
             rows.append(row)
         boundaries[k] = rows
-    _check_boundary_squared(boundaries, p)
+    _check_boundary_squared(boundaries)
     return ChainComplexOverField(p, basis, boundaries)
 
 
-def _check_boundary_squared(boundaries: dict[int, list[Row]], p: int):
+def _check_boundary_squared(boundaries: dict[int, list[Row]]):
+    """∂_{k-1} ∂_k = 0 over Z, hence modulo every p."""
     for k, rows in boundaries.items():
         lower = boundaries.get(k - 1)
         if lower is None:
-            continue
-        if p == 2:
-            packed = []
-            for low_row in lower:
-                bits = 0
-                for j, c in low_row.items():
-                    if c & 1:
-                        bits |= 1 << j
-                packed.append(bits)
-            for row in rows:
-                acc = 0
-                for j, c in row.items():
-                    if c & 1:
-                        acc ^= packed[j]
-                if acc:
-                    raise AssertionError("boundary squared is nonzero")
             continue
         for row in rows:
             acc: dict[int, int] = {}
             for j, c in row.items():
                 for j2, c2 in lower[j].items():
                     acc[j2] = acc.get(j2, 0) + c * c2
-            for v in acc.values():
-                if v % p:
-                    raise AssertionError("boundary squared is nonzero")
+            if any(acc.values()):
+                raise AssertionError("boundary squared is nonzero")
 
 
 def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
@@ -253,10 +301,10 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     return support, frozenset(facets)
 
 
-@lru_cache(maxsize=1 << 17)
-def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
-    """(k, H̃_k) for k = -1..dim Δ, keyed by the relabelled facets of an
-    already validated complex and a validated prime.
+def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple[int, int], ...]]:
+    """(k, H̃_k) for k = -1..dim Δ over GF(p) of the relabelled facets of an
+    already validated complex; over Z (p = 0) the same numbers for every
+    GF(p), or None where unit pivots do not certify them.
 
     Built on the quotient by the star of the vertex v in the most facets
     (the lowest such bit): the faces σ with σ ∪ v ∉ Δ, i.e. the faces of the
@@ -276,13 +324,28 @@ def _reduced_betti_cached(facets: frozenset[int], p: int) -> tuple[tuple[int, in
     quotient = (faces_of_facets(f for f in facets if not f & v)
                 - faces_of_facets(f ^ v for f in facets if f & v))
     dims = build_chain_complex(quotient, p).homology_dims()
+    if dims is None:
+        return None
     return tuple((k, dims.get(k, 0)) for k in range(-1, d + 1))
+
+
+@lru_cache(maxsize=1 << 17)
+def _reduced_betti_cached(facets: frozenset[int]) -> Optional[tuple[tuple[int, int], ...]]:
+    """The reduced Betti numbers of the relabelled facets over every GF(p),
+    from one elimination over Z, or None where they may depend on p."""
+    return _star_quotient_betti(facets, 0)
+
+
+def _betti(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+    """The cached Betti numbers, or for an entry that depends on p (RP², say)
+    the elimination over GF(p), uncached."""
+    return _reduced_betti_cached(facets) or _star_quotient_betti(facets, p)
 
 
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
     PrimeField(p)
-    return dict(_reduced_betti_cached(_relabelled(cx.facets)[1], p))
+    return dict(_betti(_relabelled(cx.facets)[1], p))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -368,7 +431,7 @@ def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, 
     of a face of Δ up to relabelling, lazily.  The Betti numbers sit in
     degrees -1..dim L, so the last one gives dim L."""
     for facets in _link_keys(cx):
-        betti = _reduced_betti_cached(facets, p)
+        betti = _betti(facets, p)
         yield betti[-1][0], dict(betti)
 
 

@@ -17,7 +17,10 @@ distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
 its cache; the increasing-chain walk against the unpruned walk it
 replaced, link for link; the one-star quotient behind `reduced_betti`
-against the chain complex on all faces; the closed-form Buchsbaum*
+against the chain complex on all faces; the Betti numbers certified over
+Z for every prime against that chain complex over GF(2), GF(3) and GF(5),
+and the unit-pivot integer elimination against the ranks over GF(p);
+the closed-form Buchsbaum*
 certificate against the ranks of the induced maps and against the first
 top-dimensional pair of `free_faces`; `_maximal` against the all-pairs
 comparison it replaces; and `mask_vertices` against a loop over every bit
@@ -684,6 +687,51 @@ def test_reisner_tests_match_the_per_face_oracle(small_complexes, p):
 def test_one_star_quotient_matches_the_full_complex(small_complexes, p):
     for cx in small_complexes:
         assert reduced_betti(cx, p) == betti_direct(cx, p)
+
+
+def check_certified_betti(cx):
+    """The entry cached for every prime, when certified, is the GF(p)
+    homology at p = 2, 3 and 5; `reduced_betti` is, either way."""
+    certified = _reduced_betti_cached(_relabelled(cx.facets)[1])
+    for p in (2, 3, 5):
+        if certified is not None:
+            assert dict(certified) == betti_direct(cx, p)
+        assert reduced_betti(cx, p) == betti_direct(cx, p)
+    return certified is not None
+
+
+def test_certified_betti_matches_every_field_on_every_small_complex(small_complexes):
+    # No complex on five vertices has torsion, and none needs a pivot ±2.
+    assert all([check_certified_betti(cx) for cx in small_complexes])
+
+
+@settings(max_examples=200, deadline=None)
+@given(complexes(max_n=9))
+def test_certified_betti_matches_every_field_up_to_n9(cx):
+    check_certified_betti(cx)
+
+
+def test_integer_elimination_matches_the_ranks_over_gf_p():
+    rng = random.Random(31)
+    certified = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 8)
+        rows = [{j: rng.choice((1, -1)) for j in range(ncols) if rng.random() < 0.4}
+                for _ in range(nrows)]
+        result = _eliminate(rows, 0)
+        if result is None:
+            continue
+        certified += 1
+        rank, kernel, pivots = result
+        assert kernel == []
+        for p in (2, 3, 5):
+            assert _eliminate(rows, p)[::2] == (rank, pivots)
+    assert 0 < certified < 300
+    # A leading ±2 with no pivot, and [[1, 1], [1, -1]], whose ranks over
+    # GF(2) and GF(3) differ.
+    for rows in ([{0: 2, 1: 1}], [{0: -2}, {0: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}]):
+        assert _eliminate(rows, 0) is None
+    assert [_eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], p)[0] for p in (2, 3)] == [1, 2]
 
 
 @pytest.mark.parametrize("p", [2, 3])

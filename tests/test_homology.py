@@ -7,6 +7,7 @@ from srcartier.complexes import (
     FreeFacePair,
     build_complex,
     full_simplex,
+    mask_vertices,
     vertex_mask,
 )
 from srcartier.homology import (
@@ -14,6 +15,7 @@ from srcartier.homology import (
     _check_boundary_squared,
     _eliminate,
     _reduced_betti_cached,
+    _relabelled,
     build_chain_complex,
     buchsbaum_star_refutation,
     contrastar_profile,
@@ -24,6 +26,7 @@ from srcartier.homology import (
     reduced_betti,
     relative_map_is_surjective,
 )
+from test_fast_paths import betti_direct, is_cm_per_face, is_gorenstein_star_per_face
 
 
 def euler_characteristic_reduced(cx):
@@ -41,6 +44,18 @@ def projective_plane():
     return build_complex(
         [{1, 2, 3}, {1, 3, 4}, {1, 4, 5}, {1, 5, 6}, {1, 2, 6},
          {2, 3, 5}, {3, 4, 6}, {2, 4, 5}, {3, 5, 6}, {2, 4, 6}], 6)
+
+
+@pytest.fixture
+def suspended_projective_plane(projective_plane):
+    """ΣRP² on 8 vertices: H̃_{k+1}(ΣRP²) = H̃_k(RP²), Z/2 torsion in H_2."""
+    return build_complex([{*mask_vertices(f), apex}
+                          for f in projective_plane.facets for apex in (7, 8)], 8)
+
+
+@pytest.fixture
+def octahedron():
+    return build_complex([{a, b, c} for a in (1, 2) for b in (3, 4) for c in (5, 6)], 6)
 
 
 def nonzero(betti):
@@ -80,6 +95,39 @@ class TestReducedBetti:
             for p in (2, 3):
                 betti = reduced_betti(cx, p)
                 assert chi == sum((-1 if k % 2 else 1) * b for k, b in betti.items())
+
+
+class TestTorsion:
+    """RP² and ΣRP² have Z/2 torsion, so their Betti numbers depend on p
+    and no unit-pivot elimination over Z can certify them."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("name, torsion_degrees", [
+        ("projective_plane", {1: 1, 2: 1}),
+        ("suspended_projective_plane", {2: 1, 3: 1}),
+    ])
+    def test_betti_numbers_and_reisner_tests(self, request, name, torsion_degrees, p):
+        cx = request.getfixturevalue(name)
+        betti = reduced_betti(cx, p)
+        assert betti == betti_direct(cx, p)
+        assert nonzero(betti) == (torsion_degrees if p == 2 else {})
+        assert is_cohen_macaulay(cx, p) == is_cm_per_face(cx, p) == (p != 2)
+        assert not is_gorenstein_star(cx, p)
+        assert not is_gorenstein_star_per_face(cx, p)
+
+    def test_torsion_takes_the_uncertified_fallback(
+            self, projective_plane, suspended_projective_plane, octahedron):
+        for cx in (projective_plane, suspended_projective_plane):
+            assert _reduced_betti_cached(_relabelled(cx.facets)[1]) is None
+        assert _reduced_betti_cached(_relabelled(octahedron.facets)[1]) == (
+            (-1, 0), (0, 0), (1, 0), (2, 1))
+
+    def test_one_miss_serves_every_prime(self, octahedron):
+        _reduced_betti_cached.cache_clear()
+        assert nonzero(reduced_betti(octahedron, 2)) == {2: 1}
+        assert nonzero(reduced_betti(octahedron, 3)) == {2: 1}
+        info = _reduced_betti_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestContrastarProfile:
@@ -320,24 +368,38 @@ class TestEliminate:
                 assert not any(product_row)
             assert len(_span(kernel, p, nrows)) == p ** len(kernel)
 
+    def test_integer_growth_stops_certifying(self):
+        # Pivots e_i - e_{i+1} - e_{i+2} (i < m), e_m and e_{m+1}, then e_0:
+        # reducing e_0 meets the Fibonacci numbers up to F_{m+1}, and
+        # F_46 < 2^31 < F_47.
+        def rows(m):
+            return ([{i: 1, i + 1: -1, i + 2: -1} for i in range(m)]
+                    + [{m: 1}, {m + 1: 1}, {0: 1}])
+
+        assert _eliminate(rows(45), 0)[0] == 47
+        assert _eliminate(rows(46), 0) is None
+        for p in (2, 3, 5):
+            assert _eliminate(rows(46), p)[0] == 48
+
 
 
 class TestBoundarySquaredCheck:
-    """The ∂² = 0 check that runs on every build fires on a corrupted boundary."""
+    """The ∂² = 0 check that runs on every build fires on a corrupted
+    boundary.  It runs over Z, so it also sees a sign flip that is
+    invisible modulo 2."""
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [0, 2, 3])
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("mutation", ["flip", "drop"])
     def test_corrupted_entry(self, p, degree, mutation):
         cc = build_chain_complex(full_simplex(3).faces(), p)
         boundaries = {k: [dict(row) for row in rows] for k, rows in cc.boundaries.items()}
-        _check_boundary_squared(boundaries, p)
+        _check_boundary_squared(boundaries)
         row = boundaries[degree][0]
         j = next(iter(row))
         if mutation == "drop":
             del row[j]
         else:
-            # Over GF(2) the only flip of 1 is 0, kept as an explicit entry.
-            row[j] = 0 if p == 2 else p - row[j]
+            row[j] = -row[j]
         with pytest.raises(AssertionError):
-            _check_boundary_squared(boundaries, p)
+            _check_boundary_squared(boundaries)
