@@ -71,7 +71,11 @@ def ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
 
 
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
-    """Inverse Stanley-Reisner correspondence for squarefree ideals."""
+    """Inverse Stanley-Reisner correspondence for squarefree ideals.
+
+    The unit ideal belongs to the void complex, which is not representable;
+    for it this returns {∅}, as `from_masks` does for no facets.
+    """
     for g in ideal.gens:
         if not mono.is_squarefree(g):
             raise ValueError(f"generator {mono.format_monomial(g)} is not squarefree")
@@ -89,7 +93,8 @@ def _facets_of_ideal(ideal: MonomialIdeal,
 
     A set is a face iff its complement meets every generator support, so
     the facets are the complements of the minimal transversals, an
-    antichain already (none for the unit ideal, whose complex is {∅}).
+    antichain already.  The unit ideal has none: not even ∅ is a face, so
+    its complex is the void one, which `SimplicialComplex` cannot hold.
     """
     full = (1 << ideal.n) - 1
     trans = _minimal_transversals(_supports(ideal), ideal.n, limit)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import cartier as cl
 from . import complexes as cxm
@@ -61,7 +62,11 @@ def _load_complex(args) -> cxm.SimplicialComplex:
     try:
         if fmt == "facets":
             return fileio.parse_facet_file(text, args.n)
-        return cl.complex_of_ideal(fileio.parse_ideal_file(text, args.n))
+        ideal = fileio.parse_ideal_file(text, args.n)
+        if ideal.is_unit():
+            raise InputError("the unit ideal is the ideal of the void complex, "
+                             "which is not representable")
+        return cl.complex_of_ideal(ideal)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -209,7 +214,7 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predicate(args, fn, name: str) -> int:
+def _cmd_predicate(fn, name: str, args) -> int:
     cx = _load_complex(args)
     p = _check_field(args)
     result = fn(cx, p)
@@ -334,23 +339,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_colon)
 
     for name, fn, hlp in [
-        ("homology", None, "reduced Betti numbers over GF(p)"),
-        ("cm", hom.is_cohen_macaulay, "Cohen-Macaulay test (Reisner)"),
-        ("2cm", hom.is_doubly_cohen_macaulay, "doubly Cohen-Macaulay test"),
-        ("gorenstein-star", hom.is_gorenstein_star, "Gorenstein* test"),
-        ("bstar-refute", None, "Buchsbaum* refutation certificate"),
+        ("homology", cmd_homology, "reduced Betti numbers over GF(p)"),
+        ("cm", partial(_cmd_predicate, hom.is_cohen_macaulay, "cohen_macaulay"),
+         "Cohen-Macaulay test (Reisner)"),
+        ("2cm", partial(_cmd_predicate, hom.is_doubly_cohen_macaulay, "doubly_cohen_macaulay"),
+         "doubly Cohen-Macaulay test"),
+        ("gorenstein-star", partial(_cmd_predicate, hom.is_gorenstein_star, "gorenstein_star"),
+         "Gorenstein* test"),
+        ("bstar-refute", cmd_bstar_refute, "Buchsbaum* refutation certificate"),
     ]:
         p = sub.add_parser(name, help=hlp)
         _add_io_flags(p)
         p.add_argument("--field", type=int, default=2, help="prime p for GF(p)")
-        if name == "homology":
-            p.set_defaults(fn=cmd_homology)
-        elif name == "bstar-refute":
-            p.set_defaults(fn=cmd_bstar_refute)
-        else:
-            key = {"cm": "cohen_macaulay", "2cm": "doubly_cohen_macaulay",
-                   "gorenstein-star": "gorenstein_star"}[name]
-            p.set_defaults(fn=lambda a, f=fn, k=key: _cmd_predicate(a, f, k))
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("cross-validate", help="agreement harness for both criteria")
     _add_io_flags(p, with_input=False)

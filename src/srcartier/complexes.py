@@ -135,18 +135,13 @@ def build_complex(facet_list: Iterable[Iterable[int]], n: int) -> SimplicialComp
     """Build a complex from vertex lists; an empty list yields {∅}."""
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"n={n} outside [1, {MAX_VERTICES}]")
-    masks = [vertex_mask(f, n) for f in facet_list]
-    if not masks:
-        masks = [0]
-    return SimplicialComplex(n, _maximal(masks))
+    return from_masks((vertex_mask(f, n) for f in facet_list), n)
 
 
 def from_masks(masks: Iterable[int], n: int) -> SimplicialComplex:
-    """Build a complex from face bitmasks, keeping only maximal ones."""
-    masks = list(masks)
-    if not masks:
-        masks = [0]
-    return SimplicialComplex(n, _maximal(masks))
+    """Build a complex from face bitmasks, keeping only maximal ones; no
+    masks yield {∅}."""
+    return SimplicialComplex(n, _maximal(masks) or frozenset({0}))
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -159,6 +154,17 @@ def is_face(cx: SimplicialComplex, face: int) -> bool:
 
 def dimension(cx: SimplicialComplex) -> int:
     return max(f.bit_count() for f in cx.facets) - 1
+
+
+def ridge_owners(facets: Iterable[int]) -> dict[int, int]:
+    """Each ridge G minus v of the given facets -> G, or 0 if it is a
+    ridge of more than one of them."""
+    owner: dict[int, int] = {}
+    for g in facets:
+        for v in _bits(g):
+            r = g ^ v
+            owner[r] = 0 if r in owner else g
+    return owner
 
 
 def free_faces(cx: SimplicialComplex) -> list[FreeFacePair]:
@@ -182,12 +188,7 @@ def free_faces(cx: SimplicialComplex) -> list[FreeFacePair]:
     for size in sorted(by_size, reverse=True):
         layer = by_size[size]
         if size >= 2:
-            owner: dict[int, int] = {}   # ridge -> its facet, or 0 if shared
-            for g in layer:
-                for v in _bits(g):
-                    r = g ^ v
-                    owner[r] = 0 if r in owner else g
-            for r, g in owner.items():
+            for r, g in ridge_owners(layer).items():
                 if g and all(r & ~h for h in larger):
                     pairs.append(FreeFacePair(r, g))
         larger += layer
@@ -242,25 +243,28 @@ def support_vertices(cx: SimplicialComplex) -> int:
     return ((1 << cx.n) - 1) & ~cone_vertices(cx)
 
 
-def _compress(mask: int, keep: int) -> int:
-    """Restrict a bitmask to the bits of `keep`, renumbering contiguously."""
-    out = 0
-    pos = 0
-    while keep:
-        low = keep & -keep
-        if mask & low:
-            out |= 1 << pos
-        pos += 1
-        keep &= keep - 1
-    return out
+def squeeze(masks: list[int], keep: int) -> list[int]:
+    """Masks inside `keep`, with the k bits of `keep`, in increasing order,
+    mapped to bits 0..k-1."""
+    gaps = keep ^ ((1 << keep.bit_length()) - 1)
+    while gaps:
+        # Close the highest run of gaps, bits low..top-1, by shifting down.
+        top = gaps.bit_length()
+        low = (~gaps & ((1 << top) - 1)).bit_length()
+        below = (1 << low) - 1
+        masks = [m & below | (m >> (top - low)) & ~below for m in masks]
+        gaps &= below
+    return masks
 
 
 def core(cx: SimplicialComplex) -> CoreResult:
-    """Restrict to the non-cone vertices; Δ = core(Δ) * 2^{cone vertices}."""
+    """Restrict to the non-cone vertices; Δ = core(Δ) * 2^{cone vertices}.
+
+    The facets stay an antichain: they all contain the cone vertices.
+    """
     keep = support_vertices(cx)
-    vmap = mask_vertices(keep)
-    facets = _maximal(_compress(f, keep) for f in cx.facets)
-    return CoreResult(SimplicialComplex(len(vmap), facets), vmap)
+    facets = frozenset(squeeze([f & keep for f in cx.facets], keep))
+    return CoreResult(SimplicialComplex(keep.bit_count(), facets), mask_vertices(keep))
 
 
 def join_with_simplex(cx: SimplicialComplex, extra: int) -> SimplicialComplex:

@@ -9,18 +9,18 @@ is checked over Z on every build, which implies it modulo every p.
 
 One Gaussian elimination, `_eliminate`, serves every caller: it returns
 the rank, the pivot columns and, for cycle bases, the left kernel
-{x : x·M = 0}.  Over GF(2) it packs rows into ints; otherwise it reduces
-dict rows modulo p.  With p = 0 it reduces over Z and accepts only ±1 as
-a pivot; such a rank is the rank over every GF(p), and anything else
-returns None.  `homology_dims` eliminates the top degree first and
-clears: a row of ∂_k whose face is a pivot column of ∂_{k+1} lies in the
-span of the later rows, so it is left out (Chen–Kerber, "Persistent
-homology computation with a twist", 2011).  Both proofs are in the
-docstrings.
+{x : x·M = 0}.  One loop reduces dict rows, modulo p with each pivot
+scaled to 1, or with p = 0 over Z, accepting only ±1 as a pivot; such a
+rank is the rank over every GF(p), and anything else returns None.
+`homology_dims` eliminates the top degree first and clears: a row of ∂_k
+whose face is a pivot column of ∂_{k+1} lies in the span of the later
+rows, so it is left out (Chen–Kerber, "Persistent homology computation
+with a twist", 2011).  Both proofs are in the docstrings.
 
 Reisner's criterion reads only (dim, H̃_*) of each link, and both are
 invariant under relabelling the vertices.  `_relabelled` maps the support
-vertices of a facet set, in increasing order, to bits 0..k-1, and Betti
+vertices of a facet set, in increasing order, to bits 0..k-1 (with
+`complexes.squeeze`, which also gives `core` its labels), and Betti
 numbers are cached by the relabelled facets alone, for every prime at
 once.  `_link_keys` lists each link once up to relabelling: {lk F : F ∈ Δ}
 is the closure of {Δ} under vertex links, since lk(F ∪ v) = lk_{lk F}(v),
@@ -52,7 +52,8 @@ The Buchsbaum* certificate is in closed form: for a free pair (F, G),
 H_*(Δ, cost F) = 0 and H_*(Δ, cost G) is GF(p) in degree dim G, so the
 induced map in degree dim Δ fails to be surjective iff dim G = dim Δ
 (`buchsbaum_star_refutation`).  Every facet over a ridge of a top facet
-is top, so only the top facets' ridges are counted.
+is top, so only the top facets' ridges are counted, by the same
+`complexes.ridge_owners` as the free faces.
 `relative_map_is_surjective` computes such maps from the two quotient
 complexes and is the tests' oracle for it.
 
@@ -78,6 +79,8 @@ from .complexes import (
     is_face,
     is_pure,
     mask_vertices,
+    ridge_owners,
+    squeeze,
 )
 
 
@@ -122,73 +125,43 @@ def _eliminate(rows: list[Row], p: int,
     the pivot columns.
 
     Each row is reduced against pivots keyed by their leading (smallest)
-    column; a row that reduces to zero contributes the combination of input
-    rows that produced it.  Over GF(2) rows and combinations are packed
-    into ints.
+    column, subtracting r[lead]·piv[lead] times the pivot row; a row that
+    reduces to zero contributes the combination of input rows that
+    produced it.  Over GF(p) a new pivot row is scaled to lead with 1.
 
-    p = 0 reduces the integer rows over Z, in the same order, taking only
-    ±1 as a new pivot; it returns None as soon as a leading entry with no
-    pivot is not ±1, or an entry leaves (-2^31, 2^31), and computes no
-    kernel.  Otherwise the rank and pivots hold over every GF(p).  Each
-    step subtracts an integer multiple of an earlier row, which is
-    invertible over Z and so over every GF(p).  At the end the pivot rows
-    have distinct leading columns and leading entries ±1, nonzero modulo
-    every p, and the other rows are zero; so modulo p they are an echelon
-    basis of the same row space, and the pivot count is the rank over every
+    p = 0 reduces the integer rows over Z in the same loop, taking only ±1
+    as a new pivot, stored as it is; it returns None as soon as a leading
+    entry with no pivot is not ±1, or an entry leaves (-2^31, 2^31).
+    Otherwise the rank and pivots hold over every GF(p).  Each step
+    subtracts an integer multiple of an earlier row, which is invertible
+    over Z and so over every GF(p).  At the end the pivot rows have
+    distinct leading columns and leading entries ±1, nonzero modulo every
+    p, and the other rows are zero; so modulo p they are an echelon basis
+    of the same row space, and the pivot count is the rank over every
     field.
     """
     null: list[Row] = []
-    if p == 2:
-        pivots2: dict[int, tuple[int, int]] = {}
-        for i, row in enumerate(rows):
-            r = sum(1 << j for j, c in row.items() if c & 1)
-            comb = 1 << i if kernel else 0
-            while r:
-                piv = pivots2.get(r & -r)
-                if piv is None:
-                    pivots2[r & -r] = (r, comb)
-                    break
-                r ^= piv[0]
-                comb ^= piv[1]
-            else:
-                if kernel:
-                    x: Row = {}
-                    while comb:
-                        x[(comb & -comb).bit_length() - 1] = 1
-                        comb &= comb - 1
-                    null.append(x)
-        return len(pivots2), null, {b.bit_length() - 1 for b in pivots2}
-    if p == 0:
-        units: dict[int, Row] = {}
-        for row in rows:
-            r = dict(row)
-            while r:
-                lead = min(r)
-                piv = units.get(lead)
-                if piv is None:
-                    if r[lead] not in (1, -1):
-                        return None
-                    units[lead] = r
-                    break
-                if not _subtract_multiple(r, r[lead] * piv[lead], piv, 0):
-                    return None
-        return len(units), null, set(units)
     pivots: dict[int, tuple[Row, Row]] = {}
     for i, row in enumerate(rows):
-        r = {j: c % p for j, c in row.items() if c % p}
+        r = {j: c % p for j, c in row.items() if c % p} if p else dict(row)
         comb = {i: 1} if kernel else {}
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(r[lead], p - 2, p)
-                pivots[lead] = ({j: c * inv % p for j, c in r.items()},
-                                {k: c * inv % p for k, c in comb.items()})
+                if p:
+                    inv = pow(r[lead], p - 2, p)
+                    r = {j: c * inv % p for j, c in r.items()}
+                    comb = {k: c * inv % p for k, c in comb.items()}
+                elif r[lead] not in (1, -1):
+                    return None
+                pivots[lead] = (r, comb)
                 break
-            c = r[lead]
-            _subtract_multiple(r, c, piv[0], p)
-            if kernel:
-                _subtract_multiple(comb, c, piv[1], p)
+            c = r[lead] * piv[0][lead]
+            if not _subtract_multiple(r, c, piv[0], p):
+                return None
+            if kernel and not _subtract_multiple(comb, c, piv[1], p):
+                return None
         else:
             if kernel:
                 null.append(comb)
@@ -290,15 +263,7 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     support = 0
     for f in facets:
         support |= f
-    gaps = support ^ ((1 << support.bit_length()) - 1)
-    while gaps:
-        # Close the highest run of gaps, bits low..top-1, by shifting down.
-        top = gaps.bit_length()
-        low = (~gaps & ((1 << top) - 1)).bit_length()
-        keep = (1 << low) - 1
-        facets = [f & keep | (f >> (top - low)) & ~keep for f in facets]
-        gaps &= keep
-    return support, frozenset(facets)
+    return support, frozenset(squeeze(facets, support))
 
 
 def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -512,16 +477,8 @@ def buchsbaum_star_refutation(cx: SimplicialComplex, p: int = 2) -> Optional[Buc
     top = dimension(cx) + 1
     if top < 2:
         return None
-    over: dict[int, Optional[int]] = {}
-    for g in cx.facets:
-        if g.bit_count() == top:
-            rest = g
-            while rest:
-                low = rest & -rest
-                ridge = g ^ low
-                over[ridge] = None if ridge in over else g
-                rest ^= low
-    free = min((ridge for ridge, g in over.items() if g is not None), key=face_key, default=None)
+    over = ridge_owners(g for g in cx.facets if g.bit_count() == top)
+    free = min((ridge for ridge, g in over.items() if g), key=face_key, default=None)
     if free is None:
         return None
     return BuchsbaumStarRefutation("free_face", None, FreeFacePair(free, over[free]), 0, 1)

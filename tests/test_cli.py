@@ -359,3 +359,14 @@ def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
     code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["n = 2\n1\n", "n = 3\nx1*x2\n1\n"])
+@pytest.mark.parametrize("command", ["classify", "nonfaces"])
+def test_unit_ideal_is_input_error(capsys, tmp_path, command, text):
+    # (1) is the ideal of the void complex, not of {∅}.
+    p = tmp_path / "unit.ideal"
+    p.write_text(text)
+    assert run(capsys, command, str(p)) == (
+        1, "", "error: the unit ideal is the ideal of the void complex, "
+               "which is not representable\n")

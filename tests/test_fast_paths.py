@@ -19,12 +19,13 @@ its cache; the increasing-chain walk against the unpruned walk it
 replaced, link for link; the one-star quotient behind `reduced_betti`
 against the chain complex on all faces; the Betti numbers certified over
 Z for every prime against that chain complex over GF(2), GF(3) and GF(5),
-and the unit-pivot integer elimination against the ranks over GF(p);
-the closed-form Buchsbaum*
+the unit-pivot integer elimination against the ranks over GF(p), and the
+elimination at p = 2 against the xor-packed GF(2) elimination it
+replaced; the closed-form Buchsbaum*
 certificate against the ranks of the induced maps and against the first
 top-dimensional pair of `free_faces`; `_maximal` against the all-pairs
-comparison it replaces; and `mask_vertices` against a loop over every bit
-position.
+comparison it replaces; and `mask_vertices`, `squeeze` and the vertex
+map of `core` against a loop over every bit position.
 """
 
 import random
@@ -48,12 +49,14 @@ from srcartier.cartier import (
     trial_seed,
 )
 from srcartier.complexes import (
+    CoreResult,
     FreeFacePair,
     SimplicialComplex,
     _maximal,
     build_complex,
     collapse_greedy,
     cone_vertices,
+    core,
     elementary_collapse,
     face_key,
     free_faces,
@@ -65,6 +68,8 @@ from srcartier.complexes import (
     link,
     minimal_nonfaces,
     mask_vertices,
+    squeeze,
+    support_vertices,
     vertex_mask,
 )
 from srcartier import complexes
@@ -166,6 +171,24 @@ def mask_vertices_bitwise(mask):
     return tuple(out)
 
 
+def squeeze_bitwise(mask, keep):
+    """One step per bit position: the i-th lowest bit of keep becomes bit i."""
+    out = pos = 0
+    for i in range(keep.bit_length()):
+        if keep >> i & 1:
+            out |= (mask >> i & 1) << pos
+            pos += 1
+    return out
+
+
+def core_bitwise(cx):
+    """The non-cone vertices renumbered bit by bit, and the maximal images
+    of the facets."""
+    keep = support_vertices(cx)
+    facets = _maximal(squeeze_bitwise(f, keep) for f in cx.facets)
+    return CoreResult(SimplicialComplex(keep.bit_count(), facets), mask_vertices(keep))
+
+
 def rhs_by_arithmetic(ideal, q):
     """I^[q] + (x_V^{q-1}), V the variables of the generators, by `add`."""
     xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
@@ -229,6 +252,7 @@ def check_complex(cx):
     assert pairs == free_faces_scan(cx)
     assert pairs == free_faces_pairwise(cx)
     assert collapse_greedy(cx) == collapse_greedy_pairwise(cx)
+    assert core(cx) == core_bitwise(cx)
     ideal = ideal_of_complex(cx)
     assert complex_of_ideal(ideal) == complex_of_ideal_scan(ideal)
     for pair in pairs:
@@ -734,6 +758,60 @@ def test_integer_elimination_matches_the_ranks_over_gf_p():
     assert [_eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], p)[0] for p in (2, 3)] == [1, 2]
 
 
+def eliminate_gf2_packed(rows, kernel=False):
+    """The xor elimination over GF(2): rows and their combinations packed
+    into ints, each pivot keyed by its lowest bit."""
+    null = []
+    pivots = {}
+    for i, row in enumerate(rows):
+        r = sum(1 << j for j, c in row.items() if c & 1)
+        comb = 1 << i if kernel else 0
+        while r:
+            piv = pivots.get(r & -r)
+            if piv is None:
+                pivots[r & -r] = (r, comb)
+                break
+            r ^= piv[0]
+            comb ^= piv[1]
+        else:
+            if kernel:
+                null.append({k: 1 for k in range(comb.bit_length()) if comb >> k & 1})
+    return len(pivots), null, {b.bit_length() - 1 for b in pivots}
+
+
+def star_quotient(cx):
+    """The faces σ with σ ∪ v ∉ Δ, v the lowest vertex in the most facets,
+    on Δ's own labels."""
+    count = {1 << i: sum(f >> i & 1 for f in cx.facets) for i in range(cx.n)}
+    v = max(count, key=lambda b: (count[b], -b))
+    faces = cx.faces()
+    return {f for f in faces if not f & v} - {f ^ v for f in faces if f & v}
+
+
+def test_elimination_matches_the_packed_gf2_on_random_matrices():
+    rng = random.Random(41)
+    for _ in range(500):
+        nrows, ncols = rng.randint(0, 9), rng.randint(0, 10)
+        density = rng.choice((0.2, 0.5, 0.8))
+        rows = [{j: 1 for j in range(ncols) if rng.random() < density} for _ in range(nrows)]
+        assert _eliminate(rows, 2, kernel=True) == eliminate_gf2_packed(rows, kernel=True)
+
+
+def test_elimination_matches_the_packed_gf2_on_quotient_boundaries(small_complexes):
+    # Rank, pivot columns and kernel vectors, on the one-star quotient and
+    # every contrastar quotient of every complex with n <= 5.
+    matrices = 0
+    for cx in small_complexes:
+        faces = cx.faces()
+        quotients = [build_chain_complex(star_quotient(cx), 2)]
+        quotients += [_contrastar_quotient(faces, face, 2) for face in faces if face]
+        for cc in quotients:
+            for rows in cc.boundaries.values():
+                assert _eliminate(rows, 2, kernel=True) == eliminate_gf2_packed(rows, kernel=True)
+                matrices += 1
+    assert matrices > 100000
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("facets, n, expected", [
     ([], 1, {-1: 1}),                                   # {∅}: no vertex to cone from
@@ -782,6 +860,13 @@ def test_relabelled_betti_matches_the_direct_computation(masks_perm, p):
     lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=40)))
 def test_maximal_matches_the_all_pairs_comparison(masks):
     assert _maximal(masks) == maximal_all_pairs(masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=8), st.integers(0, (1 << 12) - 1))
+def test_squeeze_matches_the_bitwise_loop(masks, keep):
+    masks = [m & keep for m in masks]
+    assert squeeze(masks, keep) == [squeeze_bitwise(m, keep) for m in masks]
 
 
 def test_mask_vertices_matches_the_bitwise_loop():
