@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
@@ -73,9 +73,12 @@ def ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
 def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Inverse Stanley-Reisner correspondence for squarefree ideals.
 
-    The unit ideal belongs to the void complex, which is not representable;
-    for it this returns {∅}, as `from_masks` does for no facets.
+    Raises ValueError on the unit ideal, which belongs to the void complex:
+    not even ∅ is a face, and `SimplicialComplex` cannot hold that.
     """
+    if ideal.is_unit():
+        raise ValueError("the unit ideal is the ideal of the void complex, "
+                         "which is not representable")
     for g in ideal.gens:
         if not mono.is_squarefree(g):
             raise ValueError(f"generator {mono.format_monomial(g)} is not squarefree")
@@ -93,8 +96,7 @@ def _facets_of_ideal(ideal: MonomialIdeal,
 
     A set is a face iff its complement meets every generator support, so
     the facets are the complements of the minimal transversals, an
-    antichain already.  The unit ideal has none: not even ∅ is a face, so
-    its complex is the void one, which `SimplicialComplex` cannot hold.
+    antichain already.  The unit ideal has none; its callers turn it away.
     """
     full = (1 << ideal.n) - 1
     trans = _minimal_transversals(_supports(ideal), ideal.n, limit)
@@ -511,17 +513,7 @@ class CrossValidationReport:
         return not (self.mismatches or self.witness_violations or self.q_sweep_mismatches)
 
     def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "pg": self.pg,
-            "infgen": self.infgen,
-            "mismatches": self.mismatches,
-            "witness_checked": self.witness_checked,
-            "witness_violations": self.witness_violations,
-            "q_sweep_checked": self.q_sweep_checked,
-            "q_sweep_mismatches": self.q_sweep_mismatches,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
+        return {**asdict(self), "elapsed_seconds": round(self.elapsed_seconds, 3)}
 
 
 _DENSITIES = (0.15, 0.3, 0.5, 0.7, 0.85)

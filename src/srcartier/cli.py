@@ -37,6 +37,11 @@ def _mask_str(mask: int) -> str:
     return _face_str(cxm.mask_vertices(mask))
 
 
+def _pair_obj(pair: cxm.FreeFacePair) -> dict:
+    return {"free_face": list(cxm.mask_vertices(pair.free_face)),
+            "facet": list(cxm.mask_vertices(pair.facet))}
+
+
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -62,11 +67,7 @@ def _load_complex(args) -> cxm.SimplicialComplex:
     try:
         if fmt == "facets":
             return fileio.parse_facet_file(text, args.n)
-        ideal = fileio.parse_ideal_file(text, args.n)
-        if ideal.is_unit():
-            raise InputError("the unit ideal is the ideal of the void complex, "
-                             "which is not representable")
-        return cl.complex_of_ideal(ideal)
+        return cl.complex_of_ideal(fileio.parse_ideal_file(text, args.n))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -127,8 +128,7 @@ def cmd_classify(args) -> int:
 def cmd_free_faces(args) -> int:
     cx = _load_complex(args)
     pairs = cxm.free_faces(cx)
-    obj = [{"free_face": list(cxm.mask_vertices(p.free_face)),
-            "facet": list(cxm.mask_vertices(p.facet))} for p in pairs]
+    obj = [_pair_obj(p) for p in pairs]
     lines = [f"{_mask_str(p.free_face)} -> {_mask_str(p.facet)}" for p in pairs]
     _emit(args, obj, lines or ["no free faces"])
     return EXIT_OK
@@ -139,8 +139,7 @@ def cmd_collapse(args) -> int:
     final, seq = cxm.collapse_greedy(cx)
     obj = {
         "final_facets": [list(v) for v in final.facet_vertex_lists()],
-        "steps": [{"free_face": list(cxm.mask_vertices(p.free_face)),
-                   "facet": list(cxm.mask_vertices(p.facet))} for p in seq],
+        "steps": [_pair_obj(p) for p in seq],
     }
     lines = [f"step {i + 1}: remove {_mask_str(p.free_face)} and {_mask_str(p.facet)}"
              for i, p in enumerate(seq)]
@@ -234,13 +233,8 @@ def cmd_bstar_refute(args) -> int:
         obj = {"certificate": {"kind": "cone", "vertex": cert.vertex}}
         lines = [f"not Buchsbaum*: cone over vertex {cert.vertex}"]
     else:
-        obj = {"certificate": {
-            "kind": "free_face",
-            "free_face": list(cxm.mask_vertices(cert.pair.free_face)),
-            "facet": list(cxm.mask_vertices(cert.pair.facet)),
-            "rank": cert.rank,
-            "target_dim": cert.target_dim,
-        }}
+        obj = {"certificate": {"kind": "free_face", **_pair_obj(cert.pair),
+                               "rank": cert.rank, "target_dim": cert.target_dim}}
         lines = [
             "not Buchsbaum*: free face "
             f"{_mask_str(cert.pair.free_face)} in {_mask_str(cert.pair.facet)}; "

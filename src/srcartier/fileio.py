@@ -1,9 +1,10 @@
 """Parsing and printing of facet files and ideal files.
 
 Facet file: optional header ``n = <int>``, then one facet per line as
-whitespace-separated positive integers (``-`` for the empty facet).
-Ideal file: optional header, then one monomial per line in the
-``x1^2*x3`` grammar.  ``#`` starts a comment, blank lines are ignored.
+whitespace-separated positive integers (``-`` for the empty facet), in
+ASCII.  Ideal file: optional header, then one monomial per line in the
+``x1^2*x3`` grammar.  Numbers are ASCII digits only.  ``#`` starts a
+comment, blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -14,29 +15,32 @@ from .complexes import SimplicialComplex, build_complex, mask_vertices
 from .monomials import (
     MAX_VARIABLES, Monomial, MonomialIdeal, format_monomial, minimize, parse_monomial)
 
-_HEADER = re.compile(r"^n\s*=\s*(\d+)$")
+_HEADER = re.compile(r"n\s*=\s*([0-9]+)")  # [0-9]: \d would take any Unicode digit
 
 
-def _logical_lines(text: str) -> list[str]:
-    out = []
+def _header_and_lines(text: str) -> tuple[int | None, list[str]]:
+    """The n of an ``n = <int>`` header, or None, and the other logical
+    lines: comments cut, blank lines dropped."""
+    lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append(line)
-    return out
+            lines.append(line)
+    if lines and (m := _HEADER.fullmatch(lines[0])):
+        return int(m.group(1)), lines[1:]
+    return None, lines
 
 
 def parse_facet_file(text: str, n_override: int | None = None) -> SimplicialComplex:
-    lines = _logical_lines(text)
-    n = None
-    if lines and (m := _HEADER.match(lines[0])):
-        n = int(m.group(1))
-        lines = lines[1:]
+    n, lines = _header_and_lines(text)
     facets: list[list[int]] = []
     for line in lines:
         if line == "-":
             facets.append([])
             continue
+        # `int` alone would also read "+4", "1_0" and non-ASCII digits.
+        if not line.isascii() or "_" in line or "+" in line:
+            raise ValueError(f"bad facet line {line!r}")
         try:
             facets.append([int(tok) for tok in line.split()])
         except ValueError:
@@ -58,11 +62,7 @@ def format_facet_file(cx: SimplicialComplex) -> str:
 
 
 def parse_ideal_file(text: str, n_override: int | None = None) -> MonomialIdeal:
-    lines = _logical_lines(text)
-    n = None
-    if lines and (m := _HEADER.match(lines[0])):
-        n = int(m.group(1))
-        lines = lines[1:]
+    n, lines = _header_and_lines(text)
     if n is None and n_override is None:
         # Two passes: find the largest variable index first.
         n = 1

@@ -8,10 +8,10 @@ rows (column -> coefficient ±1), built in one pass per face, and ∂² = 0
 is checked over Z on every build, which implies it modulo every p.
 
 One Gaussian elimination, `_eliminate`, serves every caller: it returns
-the rank, the pivot columns and, for cycle bases, the left kernel
-{x : x·M = 0}.  One loop reduces dict rows, modulo p with each pivot
-scaled to 1, or with p = 0 over Z, accepting only ±1 as a pivot; such a
-rank is the rank over every GF(p), and anything else returns None.
+the pivot columns, whose number is the rank.  One loop reduces dict
+rows, modulo p with each pivot scaled to 1, or with p = 0 over Z,
+accepting only ±1 as a pivot; such a rank is the rank over every GF(p),
+and anything else returns None.
 `homology_dims` eliminates the top degree first and clears: a row of ∂_k
 whose face is a pivot column of ∂_{k+1} lies in the span of the later
 rows, so it is left out (Chen–Kerber, "Persistent homology computation
@@ -54,8 +54,8 @@ induced map in degree dim Δ fails to be surjective iff dim G = dim Δ
 (`buchsbaum_star_refutation`).  Every facet over a ridge of a top facet
 is top, so only the top facets' ridges are counted, by the same
 `complexes.ridge_owners` as the free faces.
-`relative_map_is_surjective` computes such maps from the two quotient
-complexes and is the tests' oracle for it.
+`relative_map_is_surjective` computes such maps from four ranks on the
+two quotient complexes and is the tests' oracle for it.
 
 Every public function validates p with `PrimeField` before anything else.
 """
@@ -118,33 +118,27 @@ def _subtract_multiple(dst: Row, c: int, src: Row, p: int) -> bool:
     return True
 
 
-def _eliminate(rows: list[Row], p: int,
-               kernel: bool = False) -> Optional[tuple[int, list[Row], set[int]]]:
-    """Rank over GF(p) of the matrix with the given sparse rows, a basis of
-    its left kernel {x : x·M = 0} indexed by row if `kernel` (else []), and
-    the pivot columns.
+def _eliminate(rows: list[Row], p: int) -> Optional[set[int]]:
+    """The pivot columns of the matrix with the given sparse rows over
+    GF(p); their number is its rank.
 
     Each row is reduced against pivots keyed by their leading (smallest)
-    column, subtracting r[lead]·piv[lead] times the pivot row; a row that
-    reduces to zero contributes the combination of input rows that
-    produced it.  Over GF(p) a new pivot row is scaled to lead with 1.
+    column, subtracting r[lead]·piv[lead] times the pivot row.  Over GF(p)
+    a new pivot row is scaled to lead with 1.
 
     p = 0 reduces the integer rows over Z in the same loop, taking only ±1
     as a new pivot, stored as it is; it returns None as soon as a leading
     entry with no pivot is not ±1, or an entry leaves (-2^31, 2^31).
-    Otherwise the rank and pivots hold over every GF(p).  Each step
-    subtracts an integer multiple of an earlier row, which is invertible
-    over Z and so over every GF(p).  At the end the pivot rows have
-    distinct leading columns and leading entries ±1, nonzero modulo every
-    p, and the other rows are zero; so modulo p they are an echelon basis
-    of the same row space, and the pivot count is the rank over every
-    field.
+    Otherwise the pivots hold over every GF(p).  Each step subtracts an
+    integer multiple of an earlier row, which is invertible over Z and so
+    over every GF(p).  At the end the pivot rows have distinct leading
+    columns and leading entries ±1, nonzero modulo every p, and the other
+    rows are zero; so modulo p they are an echelon basis of the same row
+    space, and the pivot count is the rank over every field.
     """
-    null: list[Row] = []
-    pivots: dict[int, tuple[Row, Row]] = {}
-    for i, row in enumerate(rows):
+    pivots: dict[int, Row] = {}
+    for row in rows:
         r = {j: c % p for j, c in row.items() if c % p} if p else dict(row)
-        comb = {i: 1} if kernel else {}
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -152,20 +146,13 @@ def _eliminate(rows: list[Row], p: int,
                 if p:
                     inv = pow(r[lead], p - 2, p)
                     r = {j: c * inv % p for j, c in r.items()}
-                    comb = {k: c * inv % p for k, c in comb.items()}
                 elif r[lead] not in (1, -1):
                     return None
-                pivots[lead] = (r, comb)
+                pivots[lead] = r
                 break
-            c = r[lead] * piv[0][lead]
-            if not _subtract_multiple(r, c, piv[0], p):
+            if not _subtract_multiple(r, r[lead] * piv[lead], piv, p):
                 return None
-            if kernel and not _subtract_multiple(comb, c, piv[1], p):
-                return None
-        else:
-            if kernel:
-                null.append(comb)
-    return len(pivots), null, set(pivots)
+    return set(pivots)
 
 
 class ChainComplexOverField(NamedTuple):
@@ -189,18 +176,17 @@ class ChainComplexOverField(NamedTuple):
         the last row down, the rows left out thus lie in the span of the
         rows kept, over Z and modulo every p.
         """
-        ranks: dict[int, int] = {}
         pivots: dict[int, set[int]] = {}
         for k in sorted(self.boundaries, reverse=True):
             rows = self.boundaries[k]
             cleared = pivots.get(k + 1)
             if cleared:
                 rows = [row for i, row in enumerate(rows) if i not in cleared]
-            reduced = _eliminate(rows, self.p)
-            if reduced is None:
+            pivots[k] = _eliminate(rows, self.p)
+            if pivots[k] is None:
                 return None
-            ranks[k], _, pivots[k] = reduced
-        return {k: len(self.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(self.basis)}
+        return {k: len(self.basis[k]) - len(pivots[k]) - len(pivots.get(k + 1, ()))
+                for k in sorted(self.basis)}
 
 
 def build_chain_complex(face_basis: set[int], p: int) -> ChainComplexOverField:
@@ -274,7 +260,8 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     Built on the quotient by the star of the vertex v in the most facets
     (the lowest such bit): the faces σ with σ ∪ v ∉ Δ, i.e. the faces of the
     facets avoiding v that are not in lk v.  The quotient is empty iff Δ
-    is a cone over v, and then every reduced Betti number is 0.
+    is a cone over v, and then every reduced Betti number is 0, read off
+    without listing a face.
     """
     d = max(f.bit_count() for f in facets) - 1
     if d < 0:
@@ -286,6 +273,8 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
             count[low] = count.get(low, 0) + 1
             f ^= low
     v = min(count, key=lambda b: (-count[b], b))
+    if count[v] == len(facets):
+        return tuple((k, 0) for k in range(-1, d + 1))
     quotient = (faces_of_facets(f for f in facets if not f & v)
                 - faces_of_facets(f ^ v for f in facets if f & v))
     dims = build_chain_complex(quotient, p).homology_dims()
@@ -329,9 +318,17 @@ def relative_map_is_surjective(
 ) -> RankCertificate:
     """Surjectivity of H_d(Δ, cost F) -> H_d(Δ, cost G) for F ⊆ G.
 
-    The map is induced by the chain projection that quotients by the
-    larger contrastar.  Returns (surjective, rank of the induced map,
-    dimension of the target homology).
+    Returns (surjective, rank of the induced map, dimension of the target
+    homology), from four ranks.  The map is induced by the projection
+    π: C(Δ, cost F) -> C(Δ, cost G) that drops the faces not containing G;
+    let K_d be the d-faces that contain F but not G.  π is onto, so
+    B_d(target) = π(B_d(source)) ⊆ π(Z_d(source)), and the rank is
+    dim π(Z_d(source)) - dim B_d(target).  The cycles that π kills are
+    those supported on K_d, of dimension |K_d| - rank(∂_d^source on the
+    rows of K_d).  With dim Z_d(source) = |C_d(source)| - rank ∂_d^source
+    and |C_d(source)| - |K_d| = |C_d(target)|, the rank is
+    |C_d(target)| - rank ∂_d^source + rank(∂_d^source on K_d)
+    - rank ∂_{d+1}^target.
     """
     PrimeField(p)
     if small & ~big:
@@ -339,22 +336,20 @@ def relative_map_is_surjective(
     if not is_face(cx, big):
         raise ValueError("second argument is not a face")
     faces = cx.faces()
-    cc_s = _contrastar_quotient(faces, small, p)
-    cc_t = _contrastar_quotient(faces, big, p)
-    basis_s = cc_s.basis.get(degree, [])
-    tgt_index = {f: i for i, f in enumerate(cc_t.basis.get(degree, []))}
+    source = _contrastar_quotient(faces, small, p)
+    target = _contrastar_quotient(faces, big, p)
 
-    rank_dt = _eliminate(cc_t.boundaries.get(degree, []), p)[0]
-    bt_rows = cc_t.boundaries.get(degree + 1, [])
-    rank_bt = _eliminate(bt_rows, p)[0]
-    target_dim = len(tgt_index) - rank_dt - rank_bt
+    def rank(rows: list[Row]) -> int:
+        return len(_eliminate(rows, p))
+
+    size = len(target.basis.get(degree, []))
+    rank_top = rank(target.boundaries.get(degree + 1, []))
+    target_dim = size - rank(target.boundaries.get(degree, [])) - rank_top
     if target_dim == 0:
         return RankCertificate(True, 0, 0)
-
-    _, cycles, _ = _eliminate(cc_s.boundaries.get(degree, []), p, kernel=True)
-    projected = [{tgt_index[basis_s[i]]: c for i, c in z.items() if basis_s[i] in tgt_index}
-                 for z in cycles]
-    rank_map = _eliminate(projected + bt_rows, p)[0] - rank_bt
+    rows = source.boundaries.get(degree, [])
+    killed = [row for f, row in zip(source.basis.get(degree, []), rows) if big & ~f]
+    rank_map = size - rank(rows) + rank(killed) - rank_top
     return RankCertificate(rank_map == target_dim, rank_map, target_dim)
 
 

@@ -58,7 +58,7 @@ def is_squarefree(m: Monomial) -> bool:
     return all(e <= 1 for e in m)
 
 
-_MONO_TOKEN = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_MONO_TOKEN = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_monomial(text: str, n: int | None = None) -> Monomial:

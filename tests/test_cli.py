@@ -285,6 +285,27 @@ class TestHomologyCommands:
         code, out, _ = run(capsys, "gorenstein-star", f, "--json")
         assert code == 0 and json.loads(out)["gorenstein_star"] is True
 
+    @pytest.mark.parametrize("command, expected", [
+        ("homology", [f"H~_{k} dim 0" for k in range(-1, 40)]),
+        ("cm", ["cohen_macaulay over GF(2): true"]),
+        ("2cm", ["doubly_cohen_macaulay over GF(2): false"]),
+        ("gorenstein-star", ["gorenstein_star over GF(2): false"]),
+    ])
+    def test_cone_over_a_square_with_38_apexes(self, capsys, tmp_path, command, expected):
+        # Four 40-vertex facets: every face of lk v would be 2^39 of them.
+        p = tmp_path / "cone.ideal"
+        p.write_text("x1*x3\nx2*x42\n")
+        assert run(capsys, command, str(p)) == (0, "\n".join(expected) + "\n", "")
+
+    @pytest.mark.parametrize("command, expected", [
+        ("homology", [f"H~_{k} dim 0" for k in range(-1, 42)]),
+        ("cm", ["cohen_macaulay over GF(2): true"]),
+    ])
+    def test_simplex_on_42_vertices(self, capsys, tmp_path, command, expected):
+        p = tmp_path / "simplex.ideal"
+        p.write_text("n = 42\n")
+        assert run(capsys, command, str(p)) == (0, "\n".join(expected) + "\n", "")
+
     def test_bstar_refute_cone(self, capsys, facet_file):
         code, out, _ = run(capsys, "bstar-refute", facet_file("n = 3\n1 2 3\n"), "--json")
         assert code == 0
@@ -370,3 +391,20 @@ def test_unit_ideal_is_input_error(capsys, tmp_path, command, text):
     assert run(capsys, command, str(p)) == (
         1, "", "error: the unit ideal is the ideal of the void complex, "
                "which is not representable\n")
+
+
+@pytest.mark.parametrize("name, text", [
+    ("digits.ideal", "x\u06632\n"),              # an Arabic-Indic 3
+    ("header.ideal", "n = \u0661\u0662\nx1\n"),
+    ("header.facets", "n = \u0661\u0662\n1 2\n"),
+    ("digits.facets", "1 \u0663\n"),
+    ("underscore.facets", "1_0 2\n"),
+    ("plus.facets", "+4 1\n"),
+])
+@pytest.mark.parametrize("command", ["core", "homology"])
+def test_only_ascii_digits_are_read(capsys, tmp_path, command, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -23,8 +23,9 @@ the unit-pivot integer elimination against the ranks over GF(p), and the
 elimination at p = 2 against the xor-packed GF(2) elimination it
 replaced; the closed-form Buchsbaum*
 certificate against the ranks of the induced maps and against the first
-top-dimensional pair of `free_faces`; `_maximal` against the all-pairs
-comparison it replaces; and `mask_vertices`, `squeeze` and the vertex
+top-dimensional pair of `free_faces`; those four-rank induced maps
+against the cycle-basis computation they replaced; `_maximal` against
+the all-pairs comparison it replaces; and `mask_vertices`, `squeeze` and the vertex
 map of `core` against a loop over every bit position.
 """
 
@@ -75,12 +76,14 @@ from srcartier.complexes import (
 from srcartier import complexes
 from srcartier.homology import (
     BuchsbaumStarRefutation,
+    RankCertificate,
     _contrastar_quotient,
     _eliminate,
     _link_betti,
     _link_keys,
     _reduced_betti_cached,
     _relabelled,
+    _subtract_multiple,
     build_chain_complex,
     buchsbaum_star_refutation,
     is_cohen_macaulay,
@@ -266,8 +269,10 @@ def test_every_small_complex_matches_the_scans(small_complexes):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_unit_ideal_gives_the_empty_face_complex(n):
-    assert complex_of_ideal(unit_ideal(n)) == complex_of_ideal_scan(unit_ideal(n))
+def test_unit_ideal_has_no_complex(n):
+    # Not even ∅ is a face, and `SimplicialComplex` cannot hold the void complex.
+    with pytest.raises(ValueError, match="^the unit ideal is the ideal of the void complex"):
+        complex_of_ideal(unit_ideal(n))
 
 
 @settings(max_examples=200, deadline=None)
@@ -548,7 +553,7 @@ def test_sr_colon_meets_the_definition_on_large_random_complexes(n):
 
 def homology_dims_uncleared(cc):
     """H_k = dim C_k - rank ∂_k - rank ∂_{k+1}, every row of every ∂_k reduced."""
-    ranks = {k: _eliminate(rows, cc.p)[0] for k, rows in cc.boundaries.items()}
+    ranks = {k: len(_eliminate(rows, cc.p)) for k, rows in cc.boundaries.items()}
     return {k: len(cc.basis[k]) - ranks[k] - ranks.get(k + 1, 0) for k in sorted(cc.basis)}
 
 
@@ -604,6 +609,58 @@ def buchsbaum_refutation_by_ranks(cx, p):
         if not cert.surjective:
             return BuchsbaumStarRefutation("free_face", None, pair, cert.rank, cert.target_dim)
     return None
+
+
+def eliminate_with_left_kernel(rows, p):
+    """(rank, a basis of the left kernel {x : x·M = 0} indexed by row, pivot
+    columns) of the sparse rows over GF(p): each row carries the
+    combination of input rows that produced it, and a row that reduces to
+    zero contributes its combination."""
+    null = []
+    pivots = {}
+    for i, row in enumerate(rows):
+        r = {j: c % p for j, c in row.items() if c % p}
+        comb = {i: 1}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(r[lead], p - 2, p)
+                pivots[lead] = ({j: c * inv % p for j, c in r.items()},
+                                {k: c * inv % p for k, c in comb.items()})
+                break
+            c = r[lead] * piv[0][lead]
+            _subtract_multiple(r, c, piv[0], p)
+            _subtract_multiple(comb, c, piv[1], p)
+        else:
+            null.append(comb)
+    return len(pivots), null, set(pivots)
+
+
+def relative_maps_by_cycles(cx, small, big, degrees, p):
+    """H_d(Δ, cost F) -> H_d(Δ, cost G) at each degree d from a cycle basis:
+    the kernel of ∂_d on the source, projected onto the faces of the
+    target, and the rank it adds to the target's boundaries."""
+    faces = cx.faces()
+    source = _contrastar_quotient(faces, small, p)
+    target = _contrastar_quotient(faces, big, p)
+    certs = []
+    for degree in degrees:
+        index = {f: i for i, f in enumerate(target.basis.get(degree, []))}
+        boundaries = target.boundaries.get(degree + 1, [])
+        rank_top = eliminate_with_left_kernel(boundaries, p)[0]
+        rank_d = eliminate_with_left_kernel(target.boundaries.get(degree, []), p)[0]
+        target_dim = len(index) - rank_d - rank_top
+        if target_dim == 0:
+            certs.append(RankCertificate(True, 0, 0))
+            continue
+        basis = source.basis.get(degree, [])
+        _, cycles, _ = eliminate_with_left_kernel(source.boundaries.get(degree, []), p)
+        projected = [{index[basis[i]]: c for i, c in z.items() if basis[i] in index}
+                     for z in cycles]
+        rank = eliminate_with_left_kernel(projected + boundaries, p)[0] - rank_top
+        certs.append(RankCertificate(rank == target_dim, rank, target_dim))
+    return certs
 
 
 def link_keys_unpruned(cx):
@@ -742,20 +799,18 @@ def test_integer_elimination_matches_the_ranks_over_gf_p():
         nrows, ncols = rng.randint(0, 7), rng.randint(0, 8)
         rows = [{j: rng.choice((1, -1)) for j in range(ncols) if rng.random() < 0.4}
                 for _ in range(nrows)]
-        result = _eliminate(rows, 0)
-        if result is None:
+        pivots = _eliminate(rows, 0)
+        if pivots is None:
             continue
         certified += 1
-        rank, kernel, pivots = result
-        assert kernel == []
         for p in (2, 3, 5):
-            assert _eliminate(rows, p)[::2] == (rank, pivots)
+            assert _eliminate(rows, p) == pivots
     assert 0 < certified < 300
     # A leading ±2 with no pivot, and [[1, 1], [1, -1]], whose ranks over
     # GF(2) and GF(3) differ.
     for rows in ([{0: 2, 1: 1}], [{0: -2}, {0: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}]):
         assert _eliminate(rows, 0) is None
-    assert [_eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], p)[0] for p in (2, 3)] == [1, 2]
+    assert [len(_eliminate([{0: 1, 1: 1}, {0: 1, 1: -1}], p)) for p in (2, 3)] == [1, 2]
 
 
 def eliminate_gf2_packed(rows, kernel=False):
@@ -794,12 +849,14 @@ def test_elimination_matches_the_packed_gf2_on_random_matrices():
         nrows, ncols = rng.randint(0, 9), rng.randint(0, 10)
         density = rng.choice((0.2, 0.5, 0.8))
         rows = [{j: 1 for j in range(ncols) if rng.random() < density} for _ in range(nrows)]
-        assert _eliminate(rows, 2, kernel=True) == eliminate_gf2_packed(rows, kernel=True)
+        assert _eliminate(rows, 2) == eliminate_gf2_packed(rows)[2]
+        # The left-kernel elimination behind `relative_maps_by_cycles`.
+        assert eliminate_with_left_kernel(rows, 2) == eliminate_gf2_packed(rows, kernel=True)
 
 
 def test_elimination_matches_the_packed_gf2_on_quotient_boundaries(small_complexes):
-    # Rank, pivot columns and kernel vectors, on the one-star quotient and
-    # every contrastar quotient of every complex with n <= 5.
+    # Rank and pivot columns, on the one-star quotient and every
+    # contrastar quotient of every complex with n <= 5.
     matrices = 0
     for cx in small_complexes:
         faces = cx.faces()
@@ -807,7 +864,7 @@ def test_elimination_matches_the_packed_gf2_on_quotient_boundaries(small_complex
         quotients += [_contrastar_quotient(faces, face, 2) for face in faces if face]
         for cc in quotients:
             for rows in cc.boundaries.values():
-                assert _eliminate(rows, 2, kernel=True) == eliminate_gf2_packed(rows, kernel=True)
+                assert _eliminate(rows, 2) == eliminate_gf2_packed(rows)[2]
                 matrices += 1
     assert matrices > 100000
 
@@ -835,6 +892,30 @@ def test_closed_form_certificate_matches_the_ranks(small_complexes, p):
         assert cert == buchsbaum_refutation_by_ranks(cx, p)
         kinds.add(cert and cert.kind)
     assert kinds == {"cone", "free_face", None}
+
+
+def test_relative_map_ranks_match_the_cycle_basis(small_complexes):
+    # Every free pair and a seeded sample of faces F ⊆ G, at every degree
+    # from dim G up: below it the target has no chains.
+    rng = random.Random(16)
+    maps = rank_zero = onto = 0
+    for cx in small_complexes:
+        pairs = [(pair.free_face, pair.facet) for pair in free_faces(cx)]
+        faces = sorted(cx.faces())
+        for _ in range(2):
+            big = rng.choice(faces)
+            pairs.append((big & rng.getrandbits(cx.n), big))
+        for small, big in pairs:
+            degrees = range(big.bit_count() - 1, dimension(cx) + 1)
+            for p in (2, 3):
+                certs = [relative_map_is_surjective(cx, small, big, d, p) for d in degrees]
+                assert certs == relative_maps_by_cycles(cx, small, big, degrees, p)
+                for cert in certs:
+                    if cert.target_dim:
+                        maps += 1
+                        rank_zero += cert.rank == 0
+                        onto += cert.surjective
+    assert 0 < rank_zero < maps and 0 < onto < maps
 
 
 @settings(max_examples=300, deadline=None)

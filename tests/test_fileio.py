@@ -51,6 +51,17 @@ class TestFacetFiles:
         with pytest.raises(ValueError):
             parse_facet_file("n = 2\n1 3\n")
 
+    @pytest.mark.parametrize("text", [
+        "1_0 2\n", "+4 1\n", "1 \u0663\n", "n = \u0661\u0662\n1 2\n", "1 2-3\n", "1 - 2\n"])
+    def test_only_ascii_integers(self, text):
+        # `int` alone would read each of these lines.
+        with pytest.raises(ValueError, match="^bad facet line"):
+            parse_facet_file(text)
+
+    def test_negative_vertex(self):
+        with pytest.raises(ValueError, match="vertices are positive"):
+            parse_facet_file("1 -3\n")
+
     def test_roundtrip(self, whiskered_tetra, path, hollow_triangle):
         for cx in (whiskered_tetra, path, hollow_triangle, build_complex([], 2)):
             assert parse_facet_file(format_facet_file(cx)) == cx
@@ -86,6 +97,12 @@ class TestIdealFiles:
             parse_ideal_file("n = 2\ny1\n")
         with pytest.raises(ValueError):
             parse_ideal_file("n = 2\nx3\n")
+
+    @pytest.mark.parametrize("text", [
+        "x\u06632\n", "x1^\u0662\n", "x1_0\n", "x+1\n", "n = \u0661\u0662\nx1\n"])
+    def test_only_ascii_integers(self, text):
+        with pytest.raises(ValueError, match="^bad monomial token"):
+            parse_ideal_file(text)
 
     def test_roundtrip(self):
         for i in (ideal(3, "x1^2*x2", "x2*x3^2"), ideal(2, "1"),

@@ -343,7 +343,7 @@ def _span(vectors, p, ncols):
 
 class TestEliminate:
     @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_rank_and_left_kernel_against_enumeration(self, p):
+    def test_rank_and_pivots_against_enumeration(self, p):
         rng = random.Random(1000 + p)
         for _ in range(60):
             nrows, ncols = rng.randint(0, 5), rng.randint(0, 6)
@@ -356,17 +356,9 @@ class TestEliminate:
                 mixed = {j: (a * rows[0].get(j, 0) + b * rows[1].get(j, 0)) % p
                          for j in range(ncols)}
                 rows[-1] = {j: c for j, c in mixed.items() if c}
-            rank, kernel, pivots = _eliminate(rows, p, kernel=True)
-            assert p ** rank == len(_span(rows, p, ncols))
-            assert _eliminate(rows, p)[::2] == (rank, pivots)
-            assert len(pivots) == rank and pivots <= set(range(ncols))
-            assert len(kernel) == nrows - rank
-            for x in kernel:
-                assert all(0 <= i < nrows and c % p for i, c in x.items())
-                product_row = [sum(c * rows[i].get(j, 0) for i, c in x.items()) % p
-                               for j in range(ncols)]
-                assert not any(product_row)
-            assert len(_span(kernel, p, nrows)) == p ** len(kernel)
+            pivots = _eliminate(rows, p)
+            assert p ** len(pivots) == len(_span(rows, p, ncols))
+            assert pivots <= set(range(ncols))
 
     def test_integer_growth_stops_certifying(self):
         # Pivots e_i - e_{i+1} - e_{i+2} (i < m), e_m and e_{m+1}, then e_0:
@@ -376,10 +368,10 @@ class TestEliminate:
             return ([{i: 1, i + 1: -1, i + 2: -1} for i in range(m)]
                     + [{m: 1}, {m + 1: 1}, {0: 1}])
 
-        assert _eliminate(rows(45), 0)[0] == 47
+        assert len(_eliminate(rows(45), 0)) == 47
         assert _eliminate(rows(46), 0) is None
         for p in (2, 3, 5):
-            assert _eliminate(rows(46), p)[0] == 48
+            assert len(_eliminate(rows(46), p)) == 48
 
 
 
