@@ -25,10 +25,6 @@ EXIT_INTERNAL = 2
 EXIT_INFGEN = 3
 
 
-class InputError(Exception):
-    pass
-
-
 def _face_str(vertices) -> str:
     return "{%s}" % ",".join(map(str, vertices))
 
@@ -46,8 +42,8 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _detect_format(path: str, override: str | None) -> str:
@@ -57,30 +53,20 @@ def _detect_format(path: str, override: str | None) -> str:
         return "facets"
     if path.endswith(".ideal"):
         return "ideal"
-    raise InputError(
+    raise ValueError(
         f"cannot infer format of {path!r}; use --format facets|ideal")
 
 
-def _load_complex(args) -> cxm.SimplicialComplex:
+def _load(args, kind: str) -> cxm.SimplicialComplex | mono.MonomialIdeal:
+    """The input file as a complex (kind "complex") or as its
+    Stanley-Reisner ideal (kind "ideal"), whichever format it is in."""
     fmt = _detect_format(args.input, args.format)
     text = _read(args.input)
-    try:
-        if fmt == "facets":
-            return fileio.parse_facet_file(text, args.n)
-        return cl.complex_of_ideal(fileio.parse_ideal_file(text, args.n))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
-def _load_ideal(args) -> mono.MonomialIdeal:
-    fmt = _detect_format(args.input, args.format)
-    text = _read(args.input)
-    try:
-        if fmt == "ideal":
-            return fileio.parse_ideal_file(text, args.n)
-        return cl.ideal_of_complex(fileio.parse_facet_file(text, args.n))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if fmt == "facets":
+        cx = fileio.parse_facet_file(text, args.n)
+        return cx if kind == "complex" else cl.ideal_of_complex(cx)
+    ideal = fileio.parse_ideal_file(text, args.n)
+    return ideal if kind == "ideal" else cl.complex_of_ideal(ideal)
 
 
 def _emit(args, json_obj, text_lines):
@@ -95,17 +81,16 @@ def _check_field(args) -> int:
     try:
         return hom.PrimeField(args.field).p
     except ValueError as exc:
-        raise InputError(f"--field {exc}") from None
+        raise ValueError(f"--field {exc}") from None
 
 
 def _check_q(q: int) -> int:
     if q < 2:
-        raise InputError(f"--q {q} must be >= 2")
+        raise ValueError(f"--q {q} must be >= 2")
     return q
 
 
-def cmd_classify(args) -> int:
-    cx = _load_complex(args)
+def cmd_classify(args, cx) -> int:
     report = cl.classify(cx, q=_check_q(args.q))
     d = report.to_json_dict()
     lines = [
@@ -125,8 +110,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK if report.verdict is Verdict.PRINCIPALLY_GENERATED else EXIT_INFGEN
 
 
-def cmd_free_faces(args) -> int:
-    cx = _load_complex(args)
+def cmd_free_faces(args, cx) -> int:
     pairs = cxm.free_faces(cx)
     obj = [_pair_obj(p) for p in pairs]
     lines = [f"{_mask_str(p.free_face)} -> {_mask_str(p.facet)}" for p in pairs]
@@ -134,8 +118,7 @@ def cmd_free_faces(args) -> int:
     return EXIT_OK
 
 
-def cmd_collapse(args) -> int:
-    cx = _load_complex(args)
+def cmd_collapse(args, cx) -> int:
     final, seq = cxm.collapse_greedy(cx)
     obj = {
         "final_facets": [list(v) for v in final.facet_vertex_lists()],
@@ -148,8 +131,7 @@ def cmd_collapse(args) -> int:
     return EXIT_OK
 
 
-def cmd_core(args) -> int:
-    cx = _load_complex(args)
+def cmd_core(args, cx) -> int:
     core_cx, vmap = cxm.core(cx)
     obj = {
         "n": core_cx.n,
@@ -166,16 +148,14 @@ def cmd_core(args) -> int:
     return EXIT_OK
 
 
-def cmd_nonfaces(args) -> int:
-    cx = _load_complex(args)
+def cmd_nonfaces(args, cx) -> int:
     nfs = cxm.minimal_nonfaces(cx)
     obj = [list(cxm.mask_vertices(m)) for m in nfs]
     _emit(args, obj, [_mask_str(m) for m in nfs] or ["none (full simplex)"])
     return EXIT_OK
 
 
-def cmd_colon(args) -> int:
-    ideal = _load_ideal(args)
+def cmd_colon(args, ideal) -> int:
     if ideal.is_zero():
         _emit(args, {"zero_ideal": True, "verdict": "pg"},
               ["zero ideal: the ring is regular; principally generated"])
@@ -204,8 +184,7 @@ def cmd_colon(args) -> int:
     return EXIT_OK
 
 
-def cmd_homology(args) -> int:
-    cx = _load_complex(args)
+def cmd_homology(args, cx) -> int:
     p = _check_field(args)
     betti = hom.reduced_betti(cx, p)
     obj = [{"degree": k, "dim": v} for k, v in sorted(betti.items())]
@@ -213,16 +192,14 @@ def cmd_homology(args) -> int:
     return EXIT_OK
 
 
-def _cmd_predicate(fn, name: str, args) -> int:
-    cx = _load_complex(args)
+def _cmd_predicate(fn, name: str, args, cx) -> int:
     p = _check_field(args)
     result = fn(cx, p)
     _emit(args, {name: result, "field": p}, [f"{name} over GF({p}): {str(result).lower()}"])
     return EXIT_OK
 
 
-def cmd_bstar_refute(args) -> int:
-    cx = _load_complex(args)
+def cmd_bstar_refute(args, cx) -> int:
     p = _check_field(args)
     cert = hom.buchsbaum_star_refutation(cx, p)
     if cert is None:
@@ -252,21 +229,21 @@ def _parse_q_sweep(text: str | None) -> tuple[int, ...] | None:
     except ValueError:
         q_sweep = ()
     if not q_sweep or min(q_sweep) < 2:
-        raise InputError(f"--q-sweep {text!r} is not a comma-separated list of integers >= 2")
+        raise ValueError(f"--q-sweep {text!r} is not a comma-separated list of integers >= 2")
     return q_sweep
 
 
-def cmd_cross_validate(args) -> int:
+def cmd_cross_validate(args, _) -> int:
     q_sweep = _parse_q_sweep(args.q_sweep)
     if args.trials < 1:
-        raise InputError(f"--trials {args.trials} must be >= 1")
+        raise ValueError(f"--trials {args.trials} must be >= 1")
     if args.exhaustive and args.single_n is None:
-        raise InputError("--exhaustive needs --n")
+        raise ValueError("--exhaustive needs --n")
     if args.single_n is not None:
         lo, hi = (0, cl.EXHAUSTIVE_MAX_N) if args.exhaustive else (1, cl.RANDOM_MAX_N)
         if not lo <= args.single_n <= hi:
             mode = "exhaustive" if args.exhaustive else "random"
-            raise InputError(f"--n {args.single_n} outside [{lo}, {hi}] for {mode} trials")
+            raise ValueError(f"--n {args.single_n} outside [{lo}, {hi}] for {mode} trials")
         ns = (args.single_n,)
         exhaustive, rand = (ns, ()) if args.exhaustive else ((), ns)
     else:
@@ -295,15 +272,6 @@ def cmd_cross_validate(args) -> int:
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
-def _add_io_flags(p: argparse.ArgumentParser, with_input: bool = True):
-    if with_input:
-        p.add_argument("input", help="facet (.facets) or ideal (.ideal) file")
-        p.add_argument("--format", choices=["facets", "ideal"],
-                       help="override format auto-detection")
-        p.add_argument("--n", type=int, default=None, help="override ground-set size")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="srcartier",
@@ -312,25 +280,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="run both criteria and report the verdict")
-    _add_io_flags(p)
-    p.add_argument("--q", type=int, default=2, help="Frobenius power (default 2)")
-    p.set_defaults(fn=cmd_classify)
-
-    for name, fn, hlp in [
-        ("free-faces", cmd_free_faces, "list all free-face pairs"),
-        ("collapse", cmd_collapse, "greedy elementary collapse sequence"),
-        ("core", cmd_core, "core complex and vertex map"),
-        ("nonfaces", cmd_nonfaces, "minimal non-faces"),
-    ]:
+    def add(name: str, fn, hlp: str, load: str | None = "complex"):
+        """A subcommand; `main` loads its input as `load` and calls fn(args, input)."""
         p = sub.add_parser(name, help=hlp)
-        _add_io_flags(p)
-        p.set_defaults(fn=fn)
+        if load:
+            p.add_argument("input", help="facet (.facets) or ideal (.ideal) file")
+            p.add_argument("--format", choices=["facets", "ideal"],
+                           help="override format auto-detection")
+            p.add_argument("--n", type=int, default=None, help="override ground-set size")
+        p.add_argument("--json", action="store_true", help="emit JSON")
+        p.set_defaults(fn=fn, load=load)
+        return p
 
-    p = sub.add_parser("colon", help="both sides of the colon-ideal identity")
-    _add_io_flags(p)
-    p.add_argument("--q", type=int, default=2)
-    p.set_defaults(fn=cmd_colon)
+    p = add("classify", cmd_classify, "run both criteria and report the verdict")
+    p.add_argument("--q", type=int, default=2, help="Frobenius power (default 2)")
+    add("free-faces", cmd_free_faces, "list all free-face pairs")
+    add("collapse", cmd_collapse, "greedy elementary collapse sequence")
+    add("core", cmd_core, "core complex and vertex map")
+    add("nonfaces", cmd_nonfaces, "minimal non-faces")
+    add("colon", cmd_colon, "both sides of the colon-ideal identity",
+        load="ideal").add_argument("--q", type=int, default=2)
 
     for name, fn, hlp in [
         ("homology", cmd_homology, "reduced Betti numbers over GF(p)"),
@@ -342,13 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
          "Gorenstein* test"),
         ("bstar-refute", cmd_bstar_refute, "Buchsbaum* refutation certificate"),
     ]:
-        p = sub.add_parser(name, help=hlp)
-        _add_io_flags(p)
-        p.add_argument("--field", type=int, default=2, help="prime p for GF(p)")
-        p.set_defaults(fn=fn)
+        add(name, fn, hlp).add_argument("--field", type=int, default=2, help="prime p for GF(p)")
 
-    p = sub.add_parser("cross-validate", help="agreement harness for both criteria")
-    _add_io_flags(p, with_input=False)
+    p = add("cross-validate", cmd_cross_validate, "agreement harness for both criteria",
+            load=None)
     p.add_argument("--n", dest="single_n", type=int, default=None,
                    help="restrict to a single ground-set size")
     p.add_argument("--exhaustive", action="store_true",
@@ -358,16 +324,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--q-sweep", dest="q_sweep", default=None,
                    help="comma-separated Frobenius powers to compare, e.g. 2,3,4,8")
-    p.set_defaults(fn=cmd_cross_validate)
-
     return top
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Every ValueError or OverflowError, from loading
+    the input or from the library, is an input error: one `error:` line
+    and exit 1.  InconsistencyError exits 2; any other exception, such as
+    the AssertionError of a failed ∂² check, propagates."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (InputError, OverflowError) as exc:
+        return args.fn(args, args.load and _load(args, args.load))
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InconsistencyError as exc:

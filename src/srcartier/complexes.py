@@ -11,7 +11,9 @@ minimal transversals of the facet complements, see `_minimal_transversals`),
 free faces come from the ridges G minus v of the facets G, and an
 elementary collapse rewrites the facet list directly.  Only
 `faces_of_facets` (and `SimplicialComplex.faces`, which calls it) lists
-every face, and no routine on the classify path calls it.
+every face, and no routine on the classify path calls it.  It raises
+ValueError, before listing any face, when the subsets of the facets,
+counted as the sum of 2^|F|, exceed FACE_BUDGET.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
+FACE_BUDGET = 1 << 24  # most faces listed at once, as a sum of 2^|F| over facets
 
 
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
@@ -74,8 +77,7 @@ def _maximal(masks: Iterable[int]) -> frozenset[int]:
     return frozenset(kept)
 
 
-def faces_of_facets(facets: Iterable[int]) -> set[int]:
-    """Every subset of some facet, as bitmasks (0, the empty face, included)."""
+def _subsets(facets: list[int]) -> set[int]:
     seen: set[int] = set()
     for f in facets:
         s = f
@@ -85,6 +87,23 @@ def faces_of_facets(facets: Iterable[int]) -> set[int]:
                 break
             s = (s - 1) & f
     return seen
+
+
+def faces_of_facets(facets: Iterable[int], minus: Iterable[int] = ()) -> set[int]:
+    """Every subset of some facet, as bitmasks (0, the empty face, included),
+    less every subset of some facet in `minus`.
+
+    Raises ValueError, before listing any face, when the subsets of both
+    families, counted as the sum of 2^|F|, exceed FACE_BUDGET.
+    """
+    facets, minus = list(facets), list(minus)
+    total = sum([1 << f.bit_count() for f in facets + minus])
+    if total > FACE_BUDGET:
+        raise ValueError(f"up to {total} faces to list, over the face budget of {FACE_BUDGET}")
+    faces = _subsets(facets)
+    if minus:
+        faces -= _subsets(minus)
+    return faces
 
 
 class FreeFacePair(NamedTuple):

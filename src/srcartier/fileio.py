@@ -13,7 +13,7 @@ import re
 
 from .complexes import SimplicialComplex, build_complex, mask_vertices
 from .monomials import (
-    MAX_VARIABLES, Monomial, MonomialIdeal, format_monomial, minimize, parse_monomial)
+    MAX_VARIABLES, MonomialIdeal, format_monomial, minimize, parse_monomial)
 
 _HEADER = re.compile(r"n\s*=\s*([0-9]+)")  # [0-9]: \d would take any Unicode digit
 
@@ -62,20 +62,17 @@ def format_facet_file(cx: SimplicialComplex) -> str:
 
 
 def parse_ideal_file(text: str, n_override: int | None = None) -> MonomialIdeal:
+    """With no n from a header or override, n is the largest variable index,
+    and the monomials read shorter are padded with zero exponents."""
     n, lines = _header_and_lines(text)
-    if n is None and n_override is None:
-        # Two passes: find the largest variable index first.
-        n = 1
-        for line in lines:
-            mono = parse_monomial(line)
-            n = max(n, len(mono))
     if n_override is not None:
         n = n_override
-    if n > MAX_VARIABLES:
+    if n is not None and n > MAX_VARIABLES:
         raise ValueError(f"n={n} exceeds the limit of {MAX_VARIABLES} variables")
-    gens: list[Monomial] = []
-    for line in lines:
-        gens.append(parse_monomial(line, n))
+    gens = [parse_monomial(line, n) for line in lines]
+    if n is None:
+        n = max(map(len, gens), default=1)
+        gens = [g + (0,) * (n - len(g)) for g in gens]
     return minimize(gens, n)
 
 

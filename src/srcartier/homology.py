@@ -35,9 +35,12 @@ again.
 Betti numbers come from a one-star quotient.  The closed star st v of a
 vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
 complex on the faces σ with σ ∪ v ∉ Δ: the faces of the facets avoiding
-v, minus the faces of lk v, taking v in the most facets.  The quotient
-is not reduced further (say by greedy collapses, whose invariance the
-acceptance tests check against these numbers).
+v, minus the faces of lk v, taking v in the most facets.  Every face
+listing, this one and `SimplicialComplex.faces`, is refused with
+ValueError past `complexes.FACE_BUDGET`, counted from the facets before
+any face is listed.  The quotient is not reduced further (say by greedy
+collapses, whose invariance the acceptance tests check against these
+numbers).
 
 `_reduced_betti_cached` builds the quotient once, over Z, and stores the
 Betti numbers of a unit-pivot elimination, which hold over every GF(p)
@@ -261,7 +264,8 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     (the lowest such bit): the faces σ with σ ∪ v ∉ Δ, i.e. the faces of the
     facets avoiding v that are not in lk v.  The quotient is empty iff Δ
     is a cone over v, and then every reduced Betti number is 0, read off
-    without listing a face.
+    without listing a face.  Otherwise `faces_of_facets` counts both parts
+    against the face budget before it lists either.
     """
     d = max(f.bit_count() for f in facets) - 1
     if d < 0:
@@ -275,8 +279,8 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     v = min(count, key=lambda b: (-count[b], b))
     if count[v] == len(facets):
         return tuple((k, 0) for k in range(-1, d + 1))
-    quotient = (faces_of_facets(f for f in facets if not f & v)
-                - faces_of_facets(f ^ v for f in facets if f & v))
+    quotient = faces_of_facets((f for f in facets if not f & v),
+                               minus=(f ^ v for f in facets if f & v))
     dims = build_chain_complex(quotient, p).homology_dims()
     if dims is None:
         return None

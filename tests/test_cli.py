@@ -1,9 +1,12 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
 
-from srcartier import cartier
+from srcartier import cartier, fileio
+from srcartier import complexes as cxm
+from srcartier import homology as hom
 from srcartier.cli import main
 from srcartier.complexes import FreeFacePair
 
@@ -408,3 +411,106 @@ def test_only_ascii_digits_are_read(capsys, tmp_path, command, name, text):
     code, out, err = run(capsys, command, str(p))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestErrorBoundary:
+    """`main` turns every ValueError into one `error:` line and exit 1."""
+
+    @pytest.mark.parametrize("command", ["homology", "cm", "2cm", "gorenstein-star"])
+    def test_over_the_face_budget(self, capsys, tmp_path, command):
+        # One generator x1*...*x24: the boundary of the simplex on 24 vertices.
+        p = tmp_path / "sphere.ideal"
+        p.write_text("*".join(f"x{i}" for i in range(1, 25)) + "\n")
+        code, out, err = run(capsys, command, str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "over the face budget" in err
+
+    def test_library_value_error_after_loading(self, capsys, monkeypatch, infgen_file):
+        def refuse(cx):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(cxm, "free_faces", refuse)
+        assert run(capsys, "free-faces", infgen_file) == (1, "", "error: refused\n")
+
+    def test_assertion_error_propagates(self, monkeypatch, infgen_file):
+        def broken(cx, p):
+            raise AssertionError("boundary squared is nonzero")
+
+        monkeypatch.setattr(hom, "reduced_betti", broken)
+        with pytest.raises(AssertionError):
+            main(["homology", infgen_file])
+
+    def test_undecodable_file(self, capsys, tmp_path):
+        p = tmp_path / "latin1.facets"
+        p.write_bytes(b"1 2\n\xe9\n")
+        code, out, err = run(capsys, "core", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {p}: ") and err.count("\n") == 1
+
+
+_WITH_Q = ["classify", "colon"]
+_WITH_FIELD = ["homology", "cm", "2cm", "gorenstein-star", "bstar-refute"]
+_FUZZ_COMMANDS = _WITH_Q + ["free-faces", "collapse", "core", "nonfaces"] + _WITH_FIELD
+_STRAY_TOKENS = ["x", "0", "-1", "+4", "1_0", "two", "x0", "x1^", "^2", "*", "-", "n = 3",
+                 "\u0663", "x13", "99", "#", "1.5"]
+
+
+def _fuzz_texts(rng):
+    """Valid facet and ideal texts with n <= 12."""
+    texts = []
+    for seed in range(12):
+        n = rng.randint(1, 12)
+        cx = cartier.random_complex(n, rng.choice([0.2, 0.5, 0.8]), seed)
+        texts.append(("facets", fileio.format_facet_file(cx)))
+        texts.append(("ideal", fileio.format_ideal_file(cartier.ideal_of_complex(cx))))
+    return texts
+
+
+def _mutate(rng, text):
+    lines = text.splitlines()
+    i = rng.randrange(len(lines) + 1)
+    kind = rng.randrange(6)
+    if kind == 0 and lines:
+        del lines[min(i, len(lines) - 1)]
+    elif kind == 1:
+        n = rng.randint(1, 13)
+        vs = rng.sample(range(1, n + 1), rng.randint(1, n))
+        lines.insert(i, rng.choice([" ".join(map(str, vs)), "*".join(f"x{v}" for v in vs)]))
+    elif kind == 2 and lines:
+        lines.insert(i, lines[min(i, len(lines) - 1)])
+    elif kind == 3 and lines:
+        j = min(i, len(lines) - 1)
+        lines[j] = f"{lines[j]} {rng.choice(_STRAY_TOKENS)}"
+    elif kind == 4 and lines:
+        j = min(i, len(lines) - 1)
+        lines[j] = lines[j].replace(" ", "*", 1) if " " in lines[j] else lines[j] + "*"
+    else:
+        return text[:rng.randrange(len(text) + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_inputs_never_escape_main(capsys, tmp_path):
+    """Seeded small mutations of valid files: every one exits 0, 1 or 3."""
+    rng = random.Random(20121)
+    texts = _fuzz_texts(rng)
+    escaped = []
+    for case in range(300):
+        fmt, text = rng.choice(texts)
+        p = tmp_path / f"case{case}.{fmt}"
+        p.write_text(_mutate(rng, text), encoding="utf-8")
+        command = rng.choice(_FUZZ_COMMANDS)
+        argv = [command, str(p)] + rng.choice([[], ["--json"]])
+        if command in _WITH_Q:
+            argv += ["--q", rng.choice("123")]
+        elif command in _WITH_FIELD:
+            argv += ["--field", rng.choice("234")]
+        try:
+            code = main(argv)
+        except Exception as exc:  # nothing may escape main
+            escaped.append((argv, p.read_text(encoding="utf-8"), repr(exc)))
+            continue
+        capsys.readouterr()
+        if code not in (0, 1, 3):
+            escaped.append((argv, p.read_text(encoding="utf-8"), code))
+    assert escaped == []

@@ -1,5 +1,6 @@
 import pytest
 
+from srcartier import fileio
 from srcartier.complexes import build_complex
 from srcartier.fileio import (
     format_facet_file,
@@ -79,6 +80,23 @@ class TestIdealFiles:
     def test_header_optional(self):
         got = parse_ideal_file("x1*x2\nx2*x3\n")
         assert got.n == 3
+
+    def test_header_optional_pads_shorter_monomials(self, monkeypatch):
+        calls = []
+
+        def counted(text, n=None):
+            calls.append(text)
+            return parse_monomial(text, n)
+
+        monkeypatch.setattr(fileio, "parse_monomial", counted)
+        got = parse_ideal_file("x3\nx1*x2\n")
+        assert got == ideal(3, "x3", "x1*x2")
+        assert calls == ["x3", "x1*x2"]
+
+    def test_too_many_variables_without_header(self):
+        with pytest.raises(ValueError) as exc:
+            parse_ideal_file("x1\nx10000000\n")
+        assert str(exc.value) == "variable x10000000 exceeds the limit of 1024 variables"
 
     def test_minimizes(self):
         got = parse_ideal_file("n = 2\nx1*x2\nx1^2*x2^2\n")

@@ -3,9 +3,12 @@ from itertools import product
 
 import pytest
 
+from srcartier import complexes
 from srcartier.complexes import (
+    FACE_BUDGET,
     FreeFacePair,
     build_complex,
+    faces_of_facets,
     full_simplex,
     mask_vertices,
     vertex_mask,
@@ -173,6 +176,35 @@ class TestRelativeMap:
             relative_map_is_surjective(solid_triangle, mk({1}, 3), mk({2, 3}, 3), 1)
         with pytest.raises(ValueError):
             relative_map_is_surjective(hollow_triangle, mk({1}, 3), mk({1, 2, 3}, 3), 1)
+
+
+def simplex_boundary(n):
+    return build_complex([[v for v in range(1, n + 1) if v != u] for u in range(1, n + 1)], n)
+
+
+class TestFaceBudget:
+    def test_sphere_on_20_vertices_answers(self):
+        # 20 facets of 19 vertices: 20 * 2^19 subsets counted, within 2^24.
+        assert 20 << 19 <= FACE_BUDGET
+        assert nonzero(reduced_betti(simplex_boundary(20))) == {18: 1}
+
+    def test_both_families_are_counted(self, monkeypatch):
+        monkeypatch.setattr(complexes, "FACE_BUDGET", 10)
+        assert faces_of_facets([0b111], minus=[0b001]) == {0b010, 0b011, 0b100, 0b101, 0b110, 0b111}
+        with pytest.raises(ValueError, match="up to 12 faces to list"):
+            faces_of_facets([0b111], minus=[0b011])
+
+    @pytest.mark.parametrize("call", [
+        lambda cx: reduced_betti(cx, 3),
+        lambda cx: relative_map_is_surjective(cx, mk([1], 24), mk([1, 2], 24), 1),
+        lambda cx: contrastar_profile(cx, mk([1], 24)),
+        lambda cx: cx.faces(),
+    ])
+    def test_sphere_on_24_vertices_is_refused(self, call):
+        # The one-star quotient alone has 2^23 + 23 * 2^22 subsets of facets,
+        # and it is counted whole before either part is listed.
+        with pytest.raises(ValueError, match="over the face budget"):
+            call(simplex_boundary(24))
 
 
 class TestCohenMacaulay:
