@@ -2,19 +2,23 @@
 principally or infinitely generated.
 
 Two independent routes run once per complex and are cross-checked:
-`ideal_test` gives the `ColonIdentity` I^[q] : I = I^[q] + (x_V^{q-1}),
-and `free_face_scan` the free faces of the core.  Each result carries its
-verdict; a disagreement is a hard internal error.  The harness checks the
-witness monomial of the scan's first pair on the scan's own core.
+`_identity_pairs` gives both sides of the identity
+I^[q] : I = I^[q] + (x_V^{q-1}) (`ideal_test` as the ideals of a
+`ColonIdentity`), and `free_face_scan` the free faces of the core.  Each
+gives a verdict; a disagreement is a hard internal error.  The harness
+checks the witness monomial of the scan's first pair on the scan's own
+core.
 
 For a Stanley-Reisner ideal the colon I^[q] : I is read off the primary
 decomposition I = ∩_F (x_i : i ∉ F) over the facets F
 (`_sr_colon_pairs`), with no ideal arithmetic and for every q at once;
 only the nonfaces and the facets are read, never the free faces.  The
-route stays on vertex bitmasks until both sides become monomials: the rhs
-is x_V^{q-1} with x_g^q for each minimal nonface g ≠ V, minimal as it
-stands (see `_colon_identity`), so neither side is minimized.  The
-general `monomials.colon` serves every other monomial ideal.
+route stays on vertex bitmasks: the rhs is x_V^{q-1} with x_g^q for each
+minimal nonface g ≠ V, minimal as it stands (see `_identity_pairs`), so
+neither side is minimized.  `classify` reads the verdict and both sides'
+strings straight off these pairs (`_pair_strings`); `ideal_test` builds
+the two ideals from them.  The general `monomials.colon` serves every
+other monomial ideal.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ class Verdict(Enum):
 
 class InconsistencyError(RuntimeError):
     """The two classification criteria disagreed (a bug, not an input error)."""
+
+
+def _verdict(holds: bool) -> Verdict:
+    """The verdict of the colon identity for a Stanley-Reisner ideal."""
+    return Verdict.PRINCIPALLY_GENERATED if holds else Verdict.INFINITELY_GENERATED
 
 
 def ideal_of_complex(cx: SimplicialComplex) -> MonomialIdeal:
@@ -206,7 +215,7 @@ class ColonIdentity:
     @property
     def verdict(self) -> Verdict:
         """The verdict the identity gives for a Stanley-Reisner ideal."""
-        return Verdict.PRINCIPALLY_GENERATED if self.holds else Verdict.INFINITELY_GENERATED
+        return _verdict(self.holds)
 
     def offending(self) -> Iterator[Monomial]:
         """Generators of the lhs outside the rhs, in sorted order.
@@ -248,10 +257,11 @@ def _pair_ideal(pairs: Iterable[tuple[int, int]], q: int, n: int) -> MonomialIde
         tuple(q if b & s else (q - 1 if a & s else 0) for s in bits) for a, b in pairs))
 
 
-def _colon_identity(n: int, q: int, nonfaces: list[int],
-                    facets: Iterable[int]) -> ColonIdentity:
-    """The identity for the Stanley-Reisner ideal I of the complex on [n]
-    with these minimal nonfaces and facets, all bitmasks.
+def _identity_pairs(n: int, q: int, nonfaces: list[int], facets: Iterable[int]
+                    ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
+    """Both sides of the identity for the Stanley-Reisner ideal I of the
+    complex on [n] with these minimal nonfaces and facets, all bitmasks, as
+    sets of pairs (A, B) for x_B^q · x_{A∖B}^{q-1} (see `_pair_ideal`).
 
     The lhs comes from `_sr_colon_pairs`, whose first pair is (V, ∅), V
     the non-cone vertices.  The rhs I^[q] + (x_V^{q-1}) is generated by
@@ -260,7 +270,9 @@ def _colon_identity(n: int, q: int, nonfaces: list[int],
     in g, a facet over the face g∖c would hold c and so g.  So x_V^{q-1}
     divides x_g^q only when g = V; no x_g^q divides x_V^{q-1}, because
     q > q-1 and g is not empty; and the x_g^q form an antichain, because
-    the g do.
+    the g do.  Both sides are thus minimal generating sets, and for q >= 2
+    distinct pairs give distinct monomials, so the identity holds iff the
+    two sets are equal.
     """
     if q < 2:
         raise ValueError(f"q={q} must be >= 2")
@@ -268,8 +280,14 @@ def _colon_identity(n: int, q: int, nonfaces: list[int],
         raise OverflowError(f"exponent exceeds cap {mono.EXPONENT_CAP}")
     pairs = _sr_colon_pairs(facets, nonfaces, n)
     v = pairs[0][0]
-    rhs = [(v, 0)] + [(g, g) for g in nonfaces if g != v]
-    return ColonIdentity(_pair_ideal(pairs, q, n), _pair_ideal(rhs, q, n))
+    return set(pairs), {(v, 0)} | {(g, g) for g in nonfaces if g != v}
+
+
+def _colon_identity(n: int, q: int, nonfaces: list[int],
+                    facets: Iterable[int]) -> ColonIdentity:
+    """The identity, as ideals, from the pairs of `_identity_pairs`."""
+    lhs, rhs = _identity_pairs(n, q, nonfaces, facets)
+    return ColonIdentity(_pair_ideal(lhs, q, n), _pair_ideal(rhs, q, n))
 
 
 def ideal_test(cx: SimplicialComplex, q: int = 2) -> ColonIdentity:
@@ -330,7 +348,7 @@ def _core_facets_original(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
 
 
 def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(vmap[i - 1] for i in mask_vertices(mask))
+    return tuple([vmap[i - 1] for i in mask_vertices(mask)])
 
 
 def _colon_strings(identity: ColonIdentity) -> dict:
@@ -340,6 +358,50 @@ def _colon_strings(identity: ColonIdentity) -> dict:
         return {}
     return {"colon_lhs": tuple(identity.lhs.gens_strings()),
             "colon_rhs": tuple(identity.rhs.gens_strings())}
+
+
+def _pair_strings(lhs: set[tuple[int, int]], rhs: set[tuple[int, int]],
+                  q: int, n: int) -> dict:
+    """`_colon_strings` for the two sides as pairs of `_identity_pairs`,
+    with no `MonomialIdeal` built.
+
+    Each pair is formatted once, walking the bits of A.  The order is
+    `monomials._sort_gens`: degree (q-1)|A| + |B|, then the exponents in
+    descending lexicographic order.  For q >= 2 the exponents q > q-1 > 0
+    are distinct, so the exponent order reads, vertex by vertex in
+    increasing order, 2v for v ∈ B before 2v+1 for v ∈ A∖B before
+    vertices outside A.  Of two pairs of one degree neither sequence is a
+    prefix of the other (the longer would have the larger degree), so the
+    sequences compare as the exponent tuples do.  The pair (∅, ∅), the
+    unit ideal, marks the full simplex (V = ∅).
+    """
+    if (0, 0) in lhs:
+        return {}
+    # Indexed by vertex label; entry 0 is never read.
+    hi = [f"x{v}^{q}" for v in range(n + 1)]
+    lo = [f"x{v}" if q == 2 else f"x{v}^{q - 1}" for v in range(n + 1)]
+    keyed = []
+    for pair in lhs | rhs:
+        a, b = pair
+        key = [(q - 1) * a.bit_count() + b.bit_count()]
+        parts = []
+        while a:
+            low = a & -a
+            v = low.bit_length()
+            if b & low:
+                key.append(2 * v)
+                parts.append(hi[v])
+            else:
+                key.append(2 * v + 1)
+                parts.append(lo[v])
+            a ^= low
+        keyed.append((key, pair, "*".join(parts)))
+    keyed.sort()
+    lhs_strings = tuple(s for _, pair, s in keyed if pair in lhs)
+    if lhs == rhs:
+        return {"colon_lhs": lhs_strings, "colon_rhs": lhs_strings}
+    return {"colon_lhs": lhs_strings,
+            "colon_rhs": tuple(s for _, pair, s in keyed if pair in rhs)}
 
 
 def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
@@ -384,12 +446,15 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
         first = scan.pairs[0]
         witness = (_relabel(first.free_face, scan.vmap), _relabel(first.facet, scan.vmap))
         monomial = mono.format_monomial(witness_monomial(scan.core, first))
-    # The core's vertex map lists V, and relabelling keeps the facet order.
+    # The core's vertex map lists V and keeps the vertex order, so the
+    # relabelled facets sort as `face_key` sorts the core's own.
+    core_facets = sorted([_relabel(f, scan.vmap) for f in scan.core.facets],
+                         key=lambda t: (len(t), t))
     return ClassificationReport(
         verdict=scan.verdict,
         n=cx.n,
         support_v=scan.vmap,
-        core_facets=tuple(_relabel(f, scan.vmap) for f in scan.core.sorted_facets()),
+        core_facets=tuple(core_facets),
         free_face_witness=witness,
         monomial_witness=monomial,
     )
@@ -398,15 +463,17 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
 def classify(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
     """Run both criteria; they must agree."""
     # The free-face report already holds V and the core facets; the ideal
-    # route adds only its verdict and the two sides of the identity.
-    identity = ideal_test(cx, q)
+    # route adds only its verdict and the two sides of the identity, both
+    # read off the pairs, as `ideal_test` would give them.
+    lhs, rhs = _identity_pairs(cx.n, q, minimal_nonfaces(cx), cx.facets)
+    verdict = _verdict(lhs == rhs)
     rf = classify_via_free_face(cx)
-    if identity.verdict != rf.verdict:
+    if verdict != rf.verdict:
         raise InconsistencyError(
-            f"criteria disagree on {cx!r}: ideal={identity.verdict.value}, "
+            f"criteria disagree on {cx!r}: ideal={verdict.value}, "
             f"free_face={rf.verdict.value}"
         )
-    return replace(rf, **_colon_strings(identity))
+    return replace(rf, **_pair_strings(lhs, rhs, q, cx.n))
 
 
 def random_complex(n: int, expected_density: float, seed: int) -> SimplicialComplex:
@@ -526,7 +593,8 @@ def trial_seed(seed: int, n: int, index: int) -> int:
 
 def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
                label: str, q_sweep: tuple[int, ...] | None):
-    vi = ideal_test(cx, 2).verdict
+    lhs, rhs = _identity_pairs(cx.n, 2, minimal_nonfaces(cx), cx.facets)
+    vi = _verdict(lhs == rhs)
     scan = free_face_scan(cx)
     report.total += 1
     if vi != scan.verdict:

@@ -67,6 +67,8 @@ def parse_ideal_file(text: str, n_override: int | None = None) -> MonomialIdeal:
     n, lines = _header_and_lines(text)
     if n_override is not None:
         n = n_override
+    if n is not None and n < 0:
+        raise ValueError(f"n={n} outside [0, {MAX_VARIABLES}]")
     if n is not None and n > MAX_VARIABLES:
         raise ValueError(f"n={n} exceeds the limit of {MAX_VARIABLES} variables")
     gens = [parse_monomial(line, n) for line in lines]

@@ -20,6 +20,7 @@ from srcartier.cartier import (
 from srcartier import cartier, monomials
 from srcartier.complexes import (
     FreeFacePair,
+    SimplicialComplex,
     build_complex,
     full_simplex,
     minimal_nonfaces,
@@ -192,6 +193,28 @@ class TestClassify:
                 classify(cx, q)
                 assert calls == {"minimal_nonfaces": 1, "core": 1}
 
+    def test_identity_is_read_off_the_pairs(self, monkeypatch, whiskered_tetra,
+                                            vertex_and_edge, cone_over_hollow):
+        # The verdict and both sides of the identity come from the
+        # vertex-set pairs: no `MonomialIdeal` of either side is built.
+        def forbidden(*args):
+            raise AssertionError("classify built the identity as ideals")
+
+        monkeypatch.setattr(cartier, "_pair_ideal", forbidden)
+        monkeypatch.setattr(cartier, "ideal_test", forbidden)
+        for cx, verdict in ((whiskered_tetra, PG), (vertex_and_edge, INF),
+                            (cone_over_hollow, PG), (full_simplex(3), PG)):
+            for q in (2, 3):
+                assert classify(cx, q).verdict is verdict
+
+    @pytest.mark.parametrize("q", [2, 3, 65537])
+    def test_no_vertices(self, q):
+        # The full simplex on no vertices: I = 0, and I^[q] : I is the unit
+        # ideal, so neither side is reported, at any q.
+        report = classify(SimplicialComplex(0, frozenset({0})), q)
+        assert report.verdict is PG and report.n == 0
+        assert report.colon_lhs == report.colon_rhs == ()
+
     def test_disagreement_raises(self, vertex_and_edge, monkeypatch):
         good = classify_via_free_face(vertex_and_edge)
         monkeypatch.setattr(
@@ -301,6 +324,15 @@ class TestCrossValidate:
         report = cross_validate(exhaustive_ns=(1, 2, 3, 4), random_ns=())
         assert report.ok and report.infgen > 0
         assert calls == {"core": report.total, "free_faces": report.total}
+
+    def test_q2_verdict_is_read_off_the_pairs(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("cross_validate built the identity as ideals")
+
+        monkeypatch.setattr(cartier, "_pair_ideal", forbidden)
+        monkeypatch.setattr(cartier, "ideal_test", forbidden)
+        report = cross_validate(exhaustive_ns=(1, 2, 3, 4), random_ns=(6,), trials_per_n=20)
+        assert report.ok and report.total == 2 + 5 + 19 + 167 + 20
 
     def test_report_json(self):
         d = cross_validate(exhaustive_ns=(2,), random_ns=(), trials_per_n=0).to_json_dict()

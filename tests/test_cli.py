@@ -214,6 +214,19 @@ class TestColon:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit of 1024 variables" in err
 
+    @pytest.mark.parametrize("command", ["colon", "classify", "nonfaces"])
+    def test_negative_n(self, capsys, tmp_path, command):
+        p = tmp_path / "empty.ideal"
+        p.write_text("")
+        assert run(capsys, command, str(p), "--n", "-2") == (
+            1, "", "error: n=-2 outside [0, 1024]\n")
+
+    def test_zero_n_is_the_full_simplex(self, capsys, tmp_path):
+        p = tmp_path / "empty.ideal"
+        p.write_text("")
+        assert run(capsys, "classify", str(p), "--n", "0") == (
+            0, "verdict: principally generated\nn: 0\nV: {}\ncore facets: {}\n", "")
+
     @pytest.mark.parametrize("command", ["colon", "classify"])
     def test_huge_exponent(self, capsys, tmp_path, command):
         # Rejected while parsing, before a 5*10^7-bit packed code is built.

@@ -11,7 +11,10 @@ collapse driven by that scan.  The fast paths must return the same list
 in the same order.  The Stanley-Reisner colon kernel is checked against
 the general `colon` on small complexes, and against the definition of
 I^[q] : I on complexes too large for `colon`; the closed-form rhs against
-I^[q] + (x_V^{q-1}) summed and minimized by `monomials.add`.  In homology,
+I^[q] + (x_V^{q-1}) summed and minimized by `monomials.add`; and the
+verdict and colon strings `classify` reads off the vertex-set pairs, and
+its core facets, against the ideals of `ideal_test` and the core's
+`sorted_facets()`.  In homology,
 the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
@@ -39,6 +42,7 @@ from hypothesis import given, settings, strategies as st
 from srcartier import cartier
 from srcartier.cartier import (
     Verdict,
+    _identity_pairs,
     _sr_colon_pairs,
     classify,
     colon_identity,
@@ -462,6 +466,36 @@ def test_closed_form_rhs_matches_the_sum_on_every_small_complex(small_complexes)
 @given(complexes(max_n=9))
 def test_closed_form_rhs_matches_the_sum_on_strategy_complexes(cx):
     check_rhs(cx)
+
+
+def check_classify_from_pairs(cx):
+    core_cx, vmap = core(cx)
+    core_facets = tuple(tuple(vmap[i - 1] for i in mask_vertices(f))
+                        for f in core_cx.sorted_facets())
+    # The pairs do not depend on q.
+    lhs, rhs = _identity_pairs(cx.n, 2, minimal_nonfaces(cx), cx.facets)
+    for q in (2, 3, 5):
+        identity = ideal_test(cx, q)
+        assert (lhs == rhs) == identity.holds, (cx, q)
+        report = classify(cx, q)
+        assert report.verdict is identity.verdict
+        assert report.core_facets == core_facets
+        if identity.lhs.is_unit():
+            assert report.colon_lhs == report.colon_rhs == ()
+        else:
+            assert report.colon_lhs == tuple(identity.lhs.gens_strings()), (cx, q)
+            assert report.colon_rhs == tuple(identity.rhs.gens_strings()), (cx, q)
+
+
+def test_classify_reads_the_identity_off_the_pairs_on_every_small_complex(small_complexes):
+    for cx in small_complexes:
+        check_classify_from_pairs(cx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(complexes(max_n=9))
+def test_classify_reads_the_identity_off_the_pairs_on_strategy_complexes(cx):
+    check_classify_from_pairs(cx)
 
 
 def test_colon_identity_of_the_unit_ideal():
