@@ -22,10 +22,15 @@ invariant under relabelling the vertices.  `_relabelled` maps the support
 vertices of a facet set, in increasing order, to bits 0..k-1 (with
 `complexes.squeeze`, which also gives `core` its labels), and Betti
 numbers are cached by the relabelled facets alone, for every prime at
-once.  `_link_keys` lists each link once up to relabelling: {lk F : F ∈ Δ}
-is the closure of {Δ} under vertex links, since lk(F ∪ v) = lk_{lk F}(v),
-and relabelling commutes with taking links.  It reaches each face along
-one chain that adds vertices in increasing order: an entry (L, t) expands
+once.  Δ itself is keyed by `_root_key` instead: its support vertices
+ordered by the number of facets that hold them, fewest first, ties by
+label.  Two complexes that differ only by labels then often share the
+key of Δ, and with it every key of the walk below; keyed by increasing
+labels they seldom do.  `_link_keys` lists each link once up to
+relabelling, starting from the root key: {lk F : F ∈ Δ} is the closure
+of {Δ} under vertex links, since lk(F ∪ v) = lk_{lk F}(v), and
+relabelling commutes with taking links.  It reaches each face along one
+chain that adds vertices in increasing order: an entry (L, t) expands
 only the vertices i ≥ t of L, and the child lk_L(i) gets the threshold
 "its vertices below i".  A child seen before is expanded again only below
 its least earlier threshold.  No link is rebuilt from the facets of Δ, and
@@ -255,6 +260,41 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     return support, frozenset(squeeze(facets, support))
 
 
+def _facet_counts(facets: Iterable[int]) -> dict[int, int]:
+    """Each vertex bit of the facets -> the number of facets that hold it."""
+    count: dict[int, int] = {}
+    for f in facets:
+        while f:
+            low = f & -f
+            count[low] = count.get(low, 0) + 1
+            f ^= low
+    return count
+
+
+def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
+    """The support of the facets, as a mask, and the facets with its k
+    vertices, ordered by the number of facets that hold them, fewest
+    first and ties by label, mapped to bits 0..k-1.
+
+    This is Δ under a bijection of its vertices, so it has the same Betti
+    numbers and the same links up to isomorphism; two complexes that
+    differ only by labels often get the same key.  Only Δ itself is keyed
+    so: its links go through `_relabelled` in `_link_keys`.
+    """
+    facets = list(facets)
+    count = _facet_counts(facets)
+    bit = {v: 1 << i for i, v in enumerate(sorted(count, key=lambda v: (count[v], v)))}
+    keyed = []
+    for f in facets:
+        g = 0
+        while f:
+            low = f & -f
+            g |= bit[low]
+            f ^= low
+        keyed.append(g)
+    return sum(count), frozenset(keyed)  # distinct vertex bits sum to the support
+
+
 def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple[int, int], ...]]:
     """(k, H̃_k) for k = -1..dim Δ over GF(p) of the relabelled facets of an
     already validated complex; over Z (p = 0) the same numbers for every
@@ -270,12 +310,7 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     d = max(f.bit_count() for f in facets) - 1
     if d < 0:
         return ((-1, 1),)
-    count: dict[int, int] = {}
-    for f in facets:
-        while f:
-            low = f & -f
-            count[low] = count.get(low, 0) + 1
-            f ^= low
+    count = _facet_counts(facets)
     v = min(count, key=lambda b: (-count[b], b))
     if count[v] == len(facets):
         return tuple((k, 0) for k in range(-1, d + 1))
@@ -303,7 +338,7 @@ def _betti(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
     PrimeField(p)
-    return dict(_betti(_relabelled(cx.facets)[1], p))
+    return dict(_betti(_root_key(cx.facets)[1], p))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -369,8 +404,16 @@ def _link_keys(cx: SimplicialComplex) -> Iterator[frozenset[int]]:
     t grows.  So C need only be expanded from the least threshold it is
     reached with: over [t, k_C) when new, and over [t, best[C]) when t is
     lower than before.  A vertex link of an antichain is an antichain.
+
+    The walk starts from `_root_key(Δ)`, not from `_relabelled(Δ)`.  The
+    root key is Δ under a bijection of its vertices, so it has the same
+    Betti numbers and the same links up to isomorphism, and `reduced_betti`
+    keys Δ the same way, so the first yield is its cache entry.  The
+    argument above uses no property of the root's vertex order: it needs
+    only that each child keeps its parent's order, which `_relabelled`
+    does for every child.
     """
-    support, facets = _relabelled(cx.facets)
+    support, facets = _root_key(cx.facets)
     yield facets
     best = {facets: 0}
     stack = [(facets, 0, support.bit_count())]

@@ -19,9 +19,11 @@ the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
 its cache; the increasing-chain walk against the unpruned walk it
-replaced, link for link; the one-star quotient behind `reduced_betti`
-against the chain complex on all faces; the Betti numbers certified over
-Z for every prime against that chain complex over GF(2), GF(3) and GF(5),
+replaced, link for link, both started from the facet-count root key; the
+Betti numbers read through that key, on permuted complexes, and the
+one-star quotient behind `reduced_betti` against the chain complex on all
+faces; the Betti numbers certified over Z for every prime against that
+chain complex over GF(2), GF(3) and GF(5),
 the unit-pivot integer elimination against the ranks over GF(p), and the
 elimination at p = 2 against the xor-packed GF(2) elimination it
 replaced; the closed-form Buchsbaum*
@@ -81,12 +83,14 @@ from srcartier import complexes
 from srcartier.homology import (
     BuchsbaumStarRefutation,
     RankCertificate,
+    _betti,
     _contrastar_quotient,
     _eliminate,
     _link_betti,
     _link_keys,
     _reduced_betti_cached,
     _relabelled,
+    _root_key,
     _subtract_multiple,
     build_chain_complex,
     buchsbaum_star_refutation,
@@ -698,9 +702,10 @@ def relative_maps_by_cycles(cx, small, big, degrees, p):
 
 
 def link_keys_unpruned(cx):
-    """The relabelled facets of every link up to relabelling: each new link
-    L expands every vertex of L, and a child is kept if not yet seen."""
-    support, facets = _relabelled(cx.facets)
+    """The relabelled facets of every link up to relabelling, from the same
+    root key as `_link_keys`: each new link L expands every vertex of L,
+    and a child is kept if not yet seen."""
+    support, facets = _root_key(cx.facets)
     seen = {facets}
     stack = [(support.bit_count(), facets)]
     keys = []
@@ -731,7 +736,7 @@ def first_top_free_pair(cx):
 
 def check_link_keys(cx):
     keys = list(_link_keys(cx))
-    assert keys[0] == _relabelled(cx.facets)[1]
+    assert keys[0] == _root_key(cx.facets)[1]
     assert len(keys) == len(set(keys))
     assert set(keys) == set(link_keys_unpruned(cx))
 
@@ -968,6 +973,24 @@ def test_relabelled_betti_matches_the_direct_computation(masks_perm, p):
     cx = from_masks(masks, n)
     moved = from_masks((sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in masks), n)
     assert reduced_betti(moved, p) == betti_direct(moved, p) == betti_direct(cx, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+    st.permutations(range(n)))))
+def test_root_key_betti_matches_the_direct_computation(masks_perm):
+    # The root key is a complex on bits 0..k-1 in its own right: its Betti
+    # numbers, cached or not, are those of the complex it was read from.
+    masks, perm = masks_perm
+    n = len(perm)
+    cx = from_masks(masks, n)
+    moved = from_masks((sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in masks), n)
+    for p in (2, 3):
+        for c in (cx, moved):
+            support, key = _root_key(c.facets)
+            assert betti_direct(from_masks(key, max(1, support.bit_count())), p) == betti_direct(c, p)
+            assert dict(_betti(key, p)) == betti_direct(c, p) == betti_direct(cx, p)
 
 
 @settings(max_examples=300, deadline=None)

@@ -240,6 +240,23 @@ class TestCohenMacaulay:
         assert is_cohen_macaulay(octahedron, 3)
         assert cache.cache_info().misses == first
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_relabelled_complex_adds_no_miss(self, p):
+        # A disk whose six vertices lie in 2, 6, 4, 5, 1 and 3 facets: the
+        # root key orders its vertices the same way under every labelling,
+        # so a relabelled copy is served from the cache alone.
+        facets = [{1, 2, 3}, {1, 2, 4}, {2, 3, 4}, {2, 3, 6}, {2, 4, 5}, {2, 4, 6}, {3, 4, 6}]
+        first, second = (
+            build_complex([{perm[v - 1] for v in f} for f in facets], 6)
+            for perm in ((6, 5, 4, 3, 2, 1), (3, 1, 6, 2, 5, 4)))
+        assert first != second
+        _reduced_betti_cached.cache_clear()
+        assert is_cohen_macaulay(first, p)
+        misses = _reduced_betti_cached.cache_info().misses
+        assert misses > 1
+        assert is_cohen_macaulay(second, p)
+        assert _reduced_betti_cached.cache_info().misses == misses
+
 
 class TestDoublyCohenMacaulay:
     def test_hollow_triangle(self, hollow_triangle):
