@@ -22,20 +22,21 @@ invariant under relabelling the vertices.  `_relabelled` maps the support
 vertices of a facet set, in increasing order, to bits 0..k-1 (with
 `complexes.squeeze`, which also gives `core` its labels), and Betti
 numbers are cached by the relabelled facets alone, for every prime at
-once.  Δ itself is keyed by `_root_key` instead: its support vertices
-ordered by the number of facets that hold them, fewest first, ties by
-label.  Two complexes that differ only by labels then often share the
-key of Δ, and with it every key of the walk below; keyed by increasing
-labels they seldom do.  `_link_keys` lists each link once up to
-relabelling, starting from the root key: {lk F : F ∈ Δ} is the closure
-of {Δ} under vertex links, since lk(F ∪ v) = lk_{lk F}(v), and
-relabelling commutes with taking links.  It reaches each face along one
-chain that adds vertices in increasing order: an entry (L, t) expands
-only the vertices i ≥ t of L, and the child lk_L(i) gets the threshold
-"its vertices below i".  A child seen before is expanded again only below
-its least earlier threshold.  No link is rebuilt from the facets of Δ, and
-a link's dimension is read off its Betti numbers, so no link is validated
-again.
+once.  A pure Δ, where the walk starts, is keyed by `_root_key` instead:
+its support vertices ordered by the number of facets that hold them,
+fewest first, ties by label.  Two complexes that differ only by labels
+then often share the key of Δ, and with it every key of the walk below;
+keyed by increasing labels they seldom do.  Within one complex, too,
+more of the isomorphic links end up with one key.  `_link_keys` lists
+each link once up to relabelling, starting from the root key:
+{lk F : F ∈ Δ} is the closure of {Δ} under vertex links, since
+lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes with taking links.
+It reaches each face along one chain that adds vertices in increasing
+order: an entry (L, t) expands only the vertices i ≥ t of L, and the
+child lk_L(i) gets the threshold "its vertices below i".  A child seen
+before is expanded again only below its least earlier threshold.  No
+link is rebuilt from the facets of Δ, and a link's dimension is read off
+its Betti numbers, so no link is validated again.
 
 Betti numbers come from a one-star quotient.  The closed star st v of a
 vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
@@ -260,15 +261,31 @@ def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     return support, frozenset(squeeze(facets, support))
 
 
-def _facet_counts(facets: Iterable[int]) -> dict[int, int]:
-    """Each vertex bit of the facets -> the number of facets that hold it."""
-    count: dict[int, int] = {}
+def _count_classes(facets: Iterable[int]) -> list[int]:
+    """The vertex bits of the facets, grouped by the number of facets that
+    hold them: one mask per count, fewest first.
+
+    The counts are added up bitwise for all vertices at once: levels[j]
+    holds the vertices whose count has bit j set, and each facet is added
+    with carries, as in binary addition.  Splitting the support by the
+    levels, highest first, orders the classes by count.
+    """
+    levels: list[int] = []
     for f in facets:
-        while f:
-            low = f & -f
-            count[low] = count.get(low, 0) + 1
-            f ^= low
-    return count
+        for j, level in enumerate(levels):
+            levels[j], f = level ^ f, level & f
+            if not f:
+                break
+        else:
+            if f:
+                levels.append(f)
+    support = 0
+    for level in levels:
+        support |= level
+    classes = [support] if support else []
+    for level in reversed(levels):
+        classes = [h for c in classes for h in (c & ~level, c & level) if h]
+    return classes
 
 
 def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
@@ -278,12 +295,21 @@ def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
 
     This is Δ under a bijection of its vertices, so it has the same Betti
     numbers and the same links up to isomorphism; two complexes that
-    differ only by labels often get the same key.  Only Δ itself is keyed
+    differ only by labels often get the same key.  Only a pure Δ is keyed
     so: its links go through `_relabelled` in `_link_keys`.
     """
     facets = list(facets)
-    count = _facet_counts(facets)
-    bit = {v: 1 << i for i, v in enumerate(sorted(count, key=lambda v: (count[v], v)))}
+    classes = _count_classes(facets)
+    support = sum(classes)  # the classes are disjoint
+    if all(c < d & -d for c, d in zip(classes, classes[1:])):
+        # Each class lies below the next, so the order is the labels'.
+        return support, frozenset(squeeze(facets, support))
+    bit: dict[int, int] = {}
+    for c in classes:
+        while c:
+            low = c & -c
+            bit[low] = 1 << len(bit)
+            c ^= low
     keyed = []
     for f in facets:
         g = 0
@@ -292,7 +318,7 @@ def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
             g |= bit[low]
             f ^= low
         keyed.append(g)
-    return sum(count), frozenset(keyed)  # distinct vertex bits sum to the support
+    return support, frozenset(keyed)
 
 
 def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple[int, int], ...]]:
@@ -310,9 +336,9 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     d = max(f.bit_count() for f in facets) - 1
     if d < 0:
         return ((-1, 1),)
-    count = _facet_counts(facets)
-    v = min(count, key=lambda b: (-count[b], b))
-    if count[v] == len(facets):
+    top = _count_classes(facets)[-1]
+    v = top & -top
+    if all(f & v for f in facets):
         return tuple((k, 0) for k in range(-1, d + 1))
     quotient = faces_of_facets((f for f in facets if not f & v),
                                minus=(f ^ v for f in facets if f & v))
@@ -338,7 +364,10 @@ def _betti(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
     PrimeField(p)
-    return dict(_betti(_root_key(cx.facets)[1], p))
+    # Any labelling gives the same numbers.  Only a pure Δ is walked, by
+    # the Reisner tests, and its walk starts from the root key.
+    key = _root_key if is_pure(cx) else _relabelled
+    return dict(_betti(key(cx.facets)[1], p))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -408,7 +437,7 @@ def _link_keys(cx: SimplicialComplex) -> Iterator[frozenset[int]]:
     The walk starts from `_root_key(Δ)`, not from `_relabelled(Δ)`.  The
     root key is Δ under a bijection of its vertices, so it has the same
     Betti numbers and the same links up to isomorphism, and `reduced_betti`
-    keys Δ the same way, so the first yield is its cache entry.  The
+    keys a pure Δ the same way, so the first yield is its cache entry.  The
     argument above uses no property of the root's vertex order: it needs
     only that each child keeps its parent's order, which `_relabelled`
     does for every child.

@@ -20,6 +20,7 @@ distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
 its cache; the increasing-chain walk against the unpruned walk it
 replaced, link for link, both started from the facet-count root key; the
+bitwise facet counts behind that key against a count per vertex; the
 Betti numbers read through that key, on permuted complexes, and the
 one-star quotient behind `reduced_betti` against the chain complex on all
 faces; the Betti numbers certified over Z for every prime against that
@@ -83,8 +84,8 @@ from srcartier import complexes
 from srcartier.homology import (
     BuchsbaumStarRefutation,
     RankCertificate,
-    _betti,
     _contrastar_quotient,
+    _count_classes,
     _eliminate,
     _link_betti,
     _link_keys,
@@ -973,24 +974,17 @@ def test_relabelled_betti_matches_the_direct_computation(masks_perm, p):
     cx = from_masks(masks, n)
     moved = from_masks((sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in masks), n)
     assert reduced_betti(moved, p) == betti_direct(moved, p) == betti_direct(cx, p)
+    # The root key, read as a complex on bits 0..k-1, is the complex relabelled.
+    support, key = _root_key(moved.facets)
+    assert betti_direct(from_masks(key, max(1, support.bit_count())), p) == betti_direct(cx, p)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, (1 << n) - 1), max_size=12),
-    st.permutations(range(n)))))
-def test_root_key_betti_matches_the_direct_computation(masks_perm):
-    # The root key is a complex on bits 0..k-1 in its own right: its Betti
-    # numbers, cached or not, are those of the complex it was read from.
-    masks, perm = masks_perm
-    n = len(perm)
-    cx = from_masks(masks, n)
-    moved = from_masks((sum(1 << perm[i] for i in range(n) if m >> i & 1) for m in masks), n)
-    for p in (2, 3):
-        for c in (cx, moved):
-            support, key = _root_key(c.facets)
-            assert betti_direct(from_masks(key, max(1, support.bit_count())), p) == betti_direct(c, p)
-            assert dict(_betti(key, p)) == betti_direct(c, p) == betti_direct(cx, p)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=40))
+def test_count_classes_match_a_count_per_vertex(masks):
+    count = {i: sum(m >> i & 1 for m in masks) for i in range(12)}
+    held = sorted({c for c in count.values() if c})
+    assert _count_classes(masks) == [sum(1 << i for i in count if count[i] == c) for c in held]
 
 
 @settings(max_examples=300, deadline=None)
