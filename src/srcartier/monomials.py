@@ -1,13 +1,14 @@
 """Exact arithmetic of monomials and monomial ideals in n variables.
 
 A monomial is a tuple of n non-negative exponents.  Ideals are kept as
-minimal generating sets.  `minimize` and `colon` run on a packed
-encoding: each exponent e is stored as a run of e one-bits (a thermometer
-code), so that divisibility is a submask test and lcm is a bitwise or.
-`colon` intersects the quotients by each generator: a monomial quotient
-a : g is a few masked right shifts of the packed a (one per exponent
-level of g), and an intersection pairs only the generators that no
-generator of the other side divides; the rest pass through unchanged.
+minimal generating sets.  `minimize` and the intersections inside `colon`
+run on a packed encoding: each exponent e is stored as a run of e one-bits
+(a thermometer code), so that divisibility is a submask test and lcm is a
+bitwise or.  `colon` intersects the quotients by each generator: a
+monomial quotient m : g is taken by its definition on the exponent tuples,
+max(e - f, 0) in each variable, and only then packed; an intersection
+pairs only the generators that no generator of the other side divides;
+the rest pass through unchanged.
 
 `colon` is the general engine: the colon identity uses it for ideals that
 are not squarefree, and the tests use it as the reference for the
@@ -145,27 +146,6 @@ def _intersect_packed(a: list[int], b: list[int]) -> list[int]:
     return _minimize_packed(passed)
 
 
-def _colon_packed(a: list[int], g: Monomial, width: int) -> list[int]:
-    """Minimal generators of (a : g), for packed a and a monomial g.
-
-    Shifting a thermometer field right by one bit lowers its exponent by
-    one (and leaves 0 at 0).  Level l lowers every field i with g_i >= l,
-    so levels 1..max(g) lower field i by min(g_i, e_i): each member
-    becomes m / gcd(m, g).  A field never exceeds width - 1 ones, so
-    levels above width change nothing, and the top bit of every field is
-    0; masking with `low` drops the bit a field would shift into the top
-    of the field below it.
-    """
-    field = (1 << width) - 1
-    low = sum((field >> 1) << (i * width) for i in range(len(g)))
-    out = a
-    for level in range(1, min(max(g, default=0), width) + 1):
-        f = sum(field << (i * width) for i, e in enumerate(g) if e >= level)
-        keep = ~f
-        out = [(m & keep) | ((m & f) >> 1 & low) for m in out]
-    return _minimize_packed(out)
-
-
 # -- ideals ------------------------------------------------------------------
 
 def _sort_gens(gens: Iterable[Monomial]) -> list[Monomial]:
@@ -240,7 +220,8 @@ def add(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """(a : b) = ∩_g (a : g) over the minimal generators g of b."""
+    """(a : b) = ∩_g (a : g) over the minimal generators g of b, where
+    a : g is generated by the quotients m : g = m / gcd(m, g), m in a."""
     if a.n != b.n:
         raise ValueError("ambient mismatch")
     if b.is_zero():
@@ -248,11 +229,12 @@ def colon(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         return unit_ideal(a.n)
     if a.is_zero():
         return zero_ideal(a.n)
-    width = max(max(g, default=0) for g in a.gens) + 1
-    packed = [_encode(m, width) for m in a.gens]
+    # No quotient, and so no lcm of quotients, has an exponent above a's.
+    width = max(max(m, default=0) for m in a.gens) + 1
     cur: list[int] | None = None
     for g in b.sorted_gens():
-        quotients = _colon_packed(packed, g, width)
+        quotients = _minimize_packed(
+            _encode([max(e - f, 0) for e, f in zip(m, g)], width) for m in a.gens)
         cur = quotients if cur is None else _intersect_packed(cur, quotients)
     assert cur is not None
     return MonomialIdeal(a.n, frozenset(_decode(x, a.n, width) for x in cur))

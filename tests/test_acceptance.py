@@ -36,6 +36,7 @@ from srcartier.homology import (
     relative_map_is_surjective,
 )
 from srcartier.monomials import (
+    add,
     colon,
     contains,
     divides,
@@ -43,6 +44,7 @@ from srcartier.monomials import (
     minimize,
     multiply,
     parse_monomial,
+    principal,
 )
 
 PG = Verdict.PRINCIPALLY_GENERATED
@@ -236,17 +238,34 @@ def test_criterion_10_core_first_reduction():
         f"{agreements}/1000 random cone extensions preserve the verdict")
 
 
+def sides_by_arithmetic(ideal, q):
+    """Both sides of the identity as report strings, by the general colon
+    and sum; none when I^[q] : I is the unit ideal (the full simplex)."""
+    frob = frobenius_power(ideal, q)
+    lhs = colon(frob, ideal)
+    if lhs.is_unit():
+        return (), ()
+    xv = tuple(q - 1 if any(g[i] for g in ideal.gens) else 0 for i in range(ideal.n))
+    return tuple(lhs.gens_strings()), tuple(add(frob, principal(xv)).gens_strings())
+
+
 def test_criterion_11_q_sweep():
+    # The pairs behind the verdict do not depend on q, so the verdicts
+    # alone cannot disagree; the strings of both sides show the exponents.
     checked = mismatches = 0
     for n in (1, 2, 3):
         for cx in enumerate_complexes(n):
+            ideal = ideal_of_complex(cx)
             base = classify_via_ideal(cx, 2).verdict
             checked += 1
-            for q in (3, 4, 8):
-                if classify_via_ideal(cx, q).verdict != base:
+            for q in (2, 3, 4, 8):
+                report = classify_via_ideal(cx, q)
+                if (report.verdict != base or (report.colon_lhs, report.colon_rhs)
+                        != sides_by_arithmetic(ideal, q)):
                     mismatches += 1
     ok = mismatches == 0
     verdict_line(
         11, ok,
-        f"verdicts for q in {{2,3,4,8}} agree on all {checked} complexes "
-        f"with n <= 3 ({mismatches} mismatches)")
+        f"verdicts and both sides of the identity for q in {{2,3,4,8}} agree "
+        f"with the general colon on all {checked} complexes with n <= 3 "
+        f"({mismatches} mismatches)")

@@ -105,6 +105,30 @@ class TestIdealCriterion:
         with pytest.raises(ValueError):
             classify_via_ideal(path, 1)
 
+    def test_report_is_read_off_the_pairs(self, monkeypatch):
+        # Built from the ideals of `ideal_test`, the report has the same
+        # verdict and strings, and its witness is the first lhs generator
+        # outside the rhs ideal; read off the pairs, no ideal is built.
+        def from_ideals(cx, q):
+            identity = cartier.ideal_test(cx, q)
+            offending = next(identity.offending(), None)
+            strings = (() if identity.lhs.is_unit() else
+                       (tuple(identity.lhs.gens_strings()), tuple(identity.rhs.gens_strings())))
+            return (identity.verdict, strings,
+                    monomials.format_monomial(offending) if offending else None)
+
+        def forbidden(*args):
+            raise AssertionError("classify_via_ideal built the identity as ideals")
+
+        cases = [(cx, q) for n in range(5) for cx in enumerate_complexes(n) for q in (2, 3)]
+        expected = [from_ideals(cx, q) for cx, q in cases]
+        monkeypatch.setattr(cartier, "_pair_ideal", forbidden)
+        monkeypatch.setattr(cartier, "ideal_test", forbidden)
+        for (cx, q), want in zip(cases, expected):
+            report = classify_via_ideal(cx, q)
+            strings = (report.colon_lhs, report.colon_rhs) if report.colon_lhs else ()
+            assert (report.verdict, strings, report.monomial_witness) == want, (cx, q)
+
 
 class TestFreeFaceCriterion:
     def test_whiskered_tetra(self, whiskered_tetra):
@@ -276,6 +300,26 @@ class TestCrossValidate:
         assert report.total == 2 + 5 + 19
         assert report.witness_checked == report.infgen > 0
         assert report.q_sweep_checked == report.total - len(report.mismatches)
+
+    def test_q_sweep_detects_wrong_exponents(self, monkeypatch):
+        # x_{A∖B} raised to q-2 instead of q-1 leaves every verdict as it
+        # is; only the comparison with the general colon can see it.
+        real = cartier._pair_ideal
+
+        def mutated(pairs, q, n):
+            good = real(pairs, q, n)
+            if q < 3:
+                return good
+            return monomials.MonomialIdeal(n, frozenset(
+                tuple(q - 2 if e == q - 1 else e for e in g) for g in good.gens))
+
+        monkeypatch.setattr(cartier, "_pair_ideal", mutated)
+        report = cross_validate(exhaustive_ns=(1, 2, 3), random_ns=(6,),
+                                trials_per_n=5, q_sweep=(2, 3))
+        assert not report.mismatches and report.q_sweep_checked == report.total
+        swept = {(m["complex"], m["q"]) for m in report.q_sweep_mismatches}
+        assert {q for _, q in swept} == {3}
+        assert len(swept) == report.total - 3   # all but the full simplices on [1], [2], [3]
 
     def test_random_small(self):
         report = cross_validate(exhaustive_ns=(), random_ns=(6,),

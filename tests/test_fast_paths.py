@@ -1,4 +1,4 @@
-"""The output-sensitive combinatorics and the packed colon kernel,
+"""The output-sensitive combinatorics and the packed general colon,
 checked against the plain definitions they replace.
 
 Each reference below is a direct scan: all 2^n subsets for the minimal
@@ -13,8 +13,8 @@ the general `colon` on small complexes, and against the definition of
 I^[q] : I on complexes too large for `colon`; the closed-form rhs against
 I^[q] + (x_V^{q-1}) summed and minimized by `monomials.add`; and the
 verdict and colon strings `classify` reads off the vertex-set pairs, and
-its core facets, against the ideals of `ideal_test` and the core's
-`sorted_facets()`.  In homology,
+its core facets, against the ideals of those pairs (what `ideal_test`
+returns) and the core's `sorted_facets()`.  In homology,
 the cleared elimination is checked against the plain per-degree ranks; the
 distinct-link walk, Reisner's tests and the relabelled Betti key against
 one `link(cx, F)` per face, whose homology bypasses `reduced_betti` and
@@ -44,8 +44,10 @@ from hypothesis import given, settings, strategies as st
 
 from srcartier import cartier
 from srcartier.cartier import (
+    ColonIdentity,
     Verdict,
     _identity_pairs,
+    _pair_ideal,
     _sr_colon_pairs,
     classify,
     colon_identity,
@@ -103,7 +105,6 @@ from srcartier.homology import (
 )
 from srcartier.monomials import (
     MonomialIdeal,
-    _colon_packed,
     _decode,
     _encode,
     _intersect_packed,
@@ -332,8 +333,8 @@ def test_colon_matches_the_product(q):
 
 
 @pytest.mark.parametrize("a, g, expected", [
-    # Exponents of g above the widest field of a (width 3 here) lower
-    # those fields to 0; the levels past the width change nothing.
+    # An exponent of g at or above the one of a lowers it to 0, also when
+    # it exceeds the widest thermometer field of a (width 3 here).
     (["x1^2", "x1*x2"], "x1^5", ["1"]),
     (["x1^2*x2^2", "x2*x3^2"], "x2^7", ["x1^2", "x3^2"]),
     (["x1^2*x2", "x2^2*x3"], "x1^4*x3", ["x2"]),
@@ -349,16 +350,13 @@ def test_quotient_by_a_generator_wider_than_the_fields(a, g, expected):
     assert quotient == colon_product(a, principal(g))
 
 
-def test_quotient_kernel_matches_colon_mono():
+def test_quotient_matches_colon_mono():
     rng = random.Random(5)
     for _ in range(500):
         n = rng.randint(1, 5)
         a = random_ideal(rng, n)
         g = tuple(rng.randint(0, 7) for _ in range(n))
-        width = max(max(m) for m in a.gens) + 1
-        packed = _colon_packed([_encode(m, width) for m in a.gens], g, width)
-        assert sorted(packed) == sorted(
-            _minimize_packed(_encode(colon_mono(m, g), width) for m in a.gens))
+        assert colon(a, principal(g)) == minimize([colon_mono(m, g) for m in a.gens], n)
 
 
 # -- the classify path never lists every face ------------------------------
@@ -457,9 +455,11 @@ def test_colon_identity_of_an_ideal_matches_the_colon(text):
 
 
 def check_rhs(cx):
+    # The pairs do not depend on q: `ideal_test(cx, q).rhs` is their ideal.
     ideal = ideal_of_complex(cx)
+    _, rhs = _identity_pairs(cx.n, 2, minimal_nonfaces(cx), cx.facets)
     for q in (2, 3, 5):
-        assert ideal_test(cx, q).rhs == rhs_by_arithmetic(ideal, q), (cx, q)
+        assert _pair_ideal(rhs, q, cx.n) == rhs_by_arithmetic(ideal, q), (cx, q)
 
 
 def test_closed_form_rhs_matches_the_sum_on_every_small_complex(small_complexes):
@@ -477,10 +477,10 @@ def check_classify_from_pairs(cx):
     core_cx, vmap = core(cx)
     core_facets = tuple(tuple(vmap[i - 1] for i in mask_vertices(f))
                         for f in core_cx.sorted_facets())
-    # The pairs do not depend on q.
+    # The pairs do not depend on q: `ideal_test(cx, q)` is their ideals.
     lhs, rhs = _identity_pairs(cx.n, 2, minimal_nonfaces(cx), cx.facets)
     for q in (2, 3, 5):
-        identity = ideal_test(cx, q)
+        identity = ColonIdentity(_pair_ideal(lhs, q, cx.n), _pair_ideal(rhs, q, cx.n))
         assert (lhs == rhs) == identity.holds, (cx, q)
         report = classify(cx, q)
         assert report.verdict is identity.verdict
