@@ -234,10 +234,19 @@ class ColonIdentity:
                 if g not in rhs.gens and not mono.contains(rhs, g))
 
 
+def _check_q(q: int, capped: bool = True) -> None:
+    """Refuse a Frobenius power q < 2, and, if `capped`, one past the
+    exponent cap."""
+    if q < 2:
+        raise ValueError(f"q={q} must be >= 2")
+    if capped and q > mono.EXPONENT_CAP:
+        raise OverflowError(f"exponent exceeds cap {mono.EXPONENT_CAP}")
+
+
 def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
-    """The colon-ideal identity of a monomial ideal, V = the variables
-    dividing some generator (for a Stanley-Reisner ideal, the support
-    vertices of the complex).
+    """The colon-ideal identity of a monomial ideal at q >= 2, V = the
+    variables dividing some generator (for a Stanley-Reisner ideal, the
+    support vertices of the complex).  Raises ValueError for q < 2.
 
     A squarefree proper ideal is the Stanley-Reisner ideal of
     `complex_of_ideal(ideal)`, whose minimal nonfaces are the generator
@@ -248,6 +257,8 @@ def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
     k disjoint edges have 2^k facets, while `monomials.colon` stays
     polynomial there.
     """
+    # Each route checks the cap on the exponents it builds.
+    _check_q(q, capped=False)
     if not ideal.is_unit() and all(mono.is_squarefree(g) for g in ideal.gens):
         facets = _facets_of_ideal(ideal, _FACETS_PER_GENERATOR * len(ideal.gens))
         if facets is not None:
@@ -287,10 +298,8 @@ def _identity_pairs(n: int, q: int, nonfaces: list[int], facets: Iterable[int]
     distinct pairs give distinct monomials, so the identity holds iff the
     two sets are equal.
     """
-    if q < 2:
-        raise ValueError(f"q={q} must be >= 2")
-    if nonfaces and q > mono.EXPONENT_CAP:
-        raise OverflowError(f"exponent exceeds cap {mono.EXPONENT_CAP}")
+    # With no nonface every exponent is 0, so no q is past the cap.
+    _check_q(q, capped=bool(nonfaces))
     pairs = _sr_colon_pairs(facets, nonfaces, n)
     v = pairs[0][0]
     return set(pairs), {(v, 0)} | {(g, g) for g in nonfaces if g != v}
@@ -518,7 +527,8 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
     def rec(start: int, chosen: tuple[int, ...]) -> Iterator[SimplicialComplex]:
         for i in range(start, len(subs)):
             s = subs[i]
-            if any(s & ~c == 0 or c & ~s == 0 for c in chosen):
+            # subs is in graded order, so s never lies inside an earlier c.
+            if any(c & ~s == 0 for c in chosen):
                 continue
             nxt = chosen + (s,)
             yield SimplicialComplex(n, frozenset(nxt))
@@ -610,7 +620,8 @@ def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
                label: str, q_sweep: tuple[int, ...] | None):
     """Check both verdicts and the witness contract at q = 2, then at each
     q of the sweep the verdict and, for n <= _Q_SWEEP_COLON_MAX_N, both
-    sides of the identity against the general colon and sum."""
+    sides of the identity against the general colon and sum.  The pairs
+    do not depend on q, so each q's sides are built from the q = 2 ones."""
     nonfaces = minimal_nonfaces(cx)
     lhs, rhs = _identity_pairs(cx.n, 2, nonfaces, cx.facets)
     vi = _verdict(lhs == rhs)
@@ -631,7 +642,7 @@ def _check_one(cx: SimplicialComplex, report: CrossValidationReport,
         report.q_sweep_checked += 1
         ideal = ideal_of_complex(cx) if cx.n <= _Q_SWEEP_COLON_MAX_N else None
         for q in q_sweep:
-            identity = _colon_identity(cx.n, q, nonfaces, cx.facets)
+            identity = ColonIdentity(_pair_ideal(lhs, q, cx.n), _pair_ideal(rhs, q, cx.n))
             if identity.verdict != vi or (
                     ideal is not None and identity != _general_colon_identity(ideal, q)):
                 report.q_sweep_mismatches.append({"complex": label, "q": q})
@@ -645,6 +656,8 @@ def cross_validate(
     q_sweep: tuple[int, ...] | None = None,
 ) -> CrossValidationReport:
     """Agreement harness for the two criteria, with witness contracts."""
+    for q in q_sweep or ():
+        _check_q(q)
     report = CrossValidationReport()
     start = time.perf_counter()
     for n in exhaustive_ns:

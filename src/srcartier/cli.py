@@ -3,6 +3,13 @@
 Exit codes: 0 = success (classify: principally generated), 1 = input
 error, 2 = internal inconsistency / cross-validation failure,
 3 = infinitely generated (classify only).
+
+Each input is checked once, by the layer that owns it: argparse reads
+the flags, the library refuses values it cannot use (q < 2, a field
+that is not prime, a `cross-validate` size out of range), and this
+module checks only what the library cannot see (`--exhaustive` without
+`--n`, `--trials` < 1).  `main` turns every such refusal, the parser's
+included, into one `error:` line and exit 1.
 """
 
 from __future__ import annotations
@@ -70,28 +77,22 @@ def _load(args, kind: str) -> cxm.SimplicialComplex | mono.MonomialIdeal:
 
 
 def _emit(args, json_obj, text_lines):
-    if args.json:
-        print(json.dumps(json_obj, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _check_field(args) -> int:
+    """Print the output; once the reader closes stdout, drop the rest."""
     try:
-        return hom.PrimeField(args.field).p
-    except ValueError as exc:
-        raise ValueError(f"--field {exc}") from None
-
-
-def _check_q(q: int) -> int:
-    if q < 2:
-        raise ValueError(f"--q {q} must be >= 2")
-    return q
+        if args.json:
+            print(json.dumps(json_obj, indent=2))
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # print() to a None stdout does nothing, and the interpreter skips
+        # its final flush, which would otherwise report the closed pipe.
+        sys.stdout = None
 
 
 def cmd_classify(args, cx) -> int:
-    report = cl.classify(cx, q=_check_q(args.q))
+    report = cl.classify(cx, q=args.q)
     d = report.to_json_dict()
     lines = [
         f"verdict: {'principally generated' if report.verdict is Verdict.PRINCIPALLY_GENERATED else 'infinitely generated'}",
@@ -160,7 +161,7 @@ def cmd_colon(args, ideal) -> int:
         _emit(args, {"zero_ideal": True, "verdict": "pg"},
               ["zero ideal: the ring is regular; principally generated"])
         return EXIT_OK
-    identity = cl.colon_identity(ideal, _check_q(args.q))
+    identity = cl.colon_identity(ideal, args.q)
     if not all(mono.is_squarefree(g) for g in ideal.gens):
         print(f"note: the ideal is not squarefree, so xV^{args.q - 1} is not in "
               f"I^[{args.q}]:I and the paper's identity does not apply",
@@ -185,23 +186,21 @@ def cmd_colon(args, ideal) -> int:
 
 
 def cmd_homology(args, cx) -> int:
-    p = _check_field(args)
-    betti = hom.reduced_betti(cx, p)
+    betti = hom.reduced_betti(cx, args.field)
     obj = [{"degree": k, "dim": v} for k, v in sorted(betti.items())]
     _emit(args, obj, [f"H~_{k} dim {v}" for k, v in sorted(betti.items())])
     return EXIT_OK
 
 
 def _cmd_predicate(fn, name: str, args, cx) -> int:
-    p = _check_field(args)
+    p = args.field
     result = fn(cx, p)
     _emit(args, {name: result, "field": p}, [f"{name} over GF({p}): {str(result).lower()}"])
     return EXIT_OK
 
 
 def cmd_bstar_refute(args, cx) -> int:
-    p = _check_field(args)
-    cert = hom.buchsbaum_star_refutation(cx, p)
+    cert = hom.buchsbaum_star_refutation(cx, args.field)
     if cert is None:
         _emit(args, {"certificate": None},
               ["no refutation certificate found (not a proof of Buchsbaum*-ness)"])
@@ -221,29 +220,21 @@ def cmd_bstar_refute(args, cx) -> int:
     return EXIT_OK
 
 
-def _parse_q_sweep(text: str | None) -> tuple[int, ...] | None:
-    if not text:
-        return None
+def _parse_q_sweep(text: str) -> tuple[int, ...]:
+    """The comma-separated powers of --q-sweep; `cross_validate` checks each."""
     try:
-        q_sweep = tuple(int(q) for q in text.split(","))
+        return tuple(int(q) for q in text.split(","))
     except ValueError:
-        q_sweep = ()
-    if not q_sweep or min(q_sweep) < 2:
-        raise ValueError(f"--q-sweep {text!r} is not a comma-separated list of integers >= 2")
-    return q_sweep
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
 
 
 def cmd_cross_validate(args, _) -> int:
-    q_sweep = _parse_q_sweep(args.q_sweep)
     if args.trials < 1:
         raise ValueError(f"--trials {args.trials} must be >= 1")
     if args.exhaustive and args.single_n is None:
         raise ValueError("--exhaustive needs --n")
     if args.single_n is not None:
-        lo, hi = (0, cl.EXHAUSTIVE_MAX_N) if args.exhaustive else (1, cl.RANDOM_MAX_N)
-        if not lo <= args.single_n <= hi:
-            mode = "exhaustive" if args.exhaustive else "random"
-            raise ValueError(f"--n {args.single_n} outside [{lo}, {hi}] for {mode} trials")
         ns = (args.single_n,)
         exhaustive, rand = (ns, ()) if args.exhaustive else ((), ns)
     else:
@@ -253,7 +244,7 @@ def cmd_cross_validate(args, _) -> int:
         random_ns=rand,
         trials_per_n=args.trials,
         seed=args.seed,
-        q_sweep=q_sweep,
+        q_sweep=args.q_sweep,
     )
     obj = report.to_json_dict()
     lines = [
@@ -261,9 +252,9 @@ def cmd_cross_validate(args, _) -> int:
         f"mismatches: {len(report.mismatches)}",
         f"witness contracts checked: {report.witness_checked}, violations: {len(report.witness_violations)}",
     ]
-    if q_sweep:
+    if args.q_sweep:
         lines.append(
-            f"q-sweep {list(q_sweep)} checked: {report.q_sweep_checked}, "
+            f"q-sweep {list(args.q_sweep)} checked: {report.q_sweep_checked}, "
             f"mismatches: {len(report.q_sweep_mismatches)}")
     if not report.ok:
         for m in report.mismatches + report.witness_violations + report.q_sweep_mismatches:
@@ -272,8 +263,16 @@ def cmd_cross_validate(args, _) -> int:
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors reach `main` as ValueError, like any other
+    bad input, instead of a usage dump and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="srcartier",
         description="Classify Cartier algebras of Stanley-Reisner rings and "
                     "inspect the underlying simplicial/ideal structure.",
@@ -322,18 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000,
                    help="random trials per n (default 1000)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--q-sweep", dest="q_sweep", default=None,
+    p.add_argument("--q-sweep", dest="q_sweep", type=_parse_q_sweep, default=None,
                    help="comma-separated Frobenius powers to compare, e.g. 2,3,4,8")
     return top
 
 
 def main(argv=None) -> int:
-    """Run one subcommand.  Every ValueError or OverflowError, from loading
-    the input or from the library, is an input error: one `error:` line
-    and exit 1.  InconsistencyError exits 2; any other exception, such as
-    the AssertionError of a failed ∂² check, propagates."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand.  Every ValueError or OverflowError, from parsing
+    the flags, loading the input or the library, is an input error: one
+    `error:` line and exit 1.  InconsistencyError exits 2; any other
+    exception, such as the AssertionError of a failed ∂² check,
+    propagates.  `--help` prints the usage and exits 0."""
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args, args.load and _load(args, args.load))
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

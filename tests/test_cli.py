@@ -1,6 +1,12 @@
+import errno
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -391,11 +397,71 @@ def test_q_past_the_exponent_cap_is_input_error(capsys, infgen_file, command, co
     ("cross-validate", "--n", "6", "--trials", "0"),
     ("cross-validate", "--trials", "-1"),
     ("cross-validate", "--exhaustive"),
+    # Refused by the library, not by the CLI.
+    ("colon", "{infgen}", "--q", "1"),
+    ("homology", "{infgen}", "--field", "4"),
+    ("cross-validate", "--n", "3", "--exhaustive", "--q-sweep", "3,1"),
+    ("cross-validate", "--n", "-1", "--exhaustive"),
+    # The empty sweep is malformed like any other.
+    ("cross-validate", "--n", "3", "--exhaustive", "--q-sweep", ""),
+    # Refused by the parser.
+    ("classify", "{infgen}", "--q", "abc"),
+    ("homology", "{infgen}", "--field", "two"),
+    ("cross-validate", "--trials", "x"),
+    ("cross-validate", "--n", "x"),
+    ("classify", "{infgen}", "--bogus"),
+    ("classify",),
+    ("bogus",),
+    (),
 ])
 def test_bad_flag_value_is_input_error(capsys, infgen_file, argv):
     code, out, err = run(capsys, *(a.format(infgen=infgen_file) for a in argv))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("classify", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: srcartier") and err == ""
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("classify", "{whiskered}"), 0),
+    (("classify", "{infgen}", "--json"), 3),
+    (("cross-validate", "--n", "3", "--exhaustive"), 0),
+])
+def test_closed_stdout_ends_quietly(capsys, monkeypatch, whiskered_file, infgen_file,
+                                    argv, expected):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    argv = [a.format(whiskered=whiskered_file, infgen=infgen_file) for a in argv]
+    assert main(argv) == expected
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_ends_quietly_at_exit(tmp_path):
+    # 13 disjoint edges: a 299,664-byte report, more than a pipe holds, so
+    # the report is still being written when the reader goes away.
+    p = tmp_path / "edges.ideal"
+    p.write_text(disjoint_edges(13))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "srcartier.cli", "classify", str(p)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"v"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait(timeout=120) == 0
 
 
 @pytest.mark.parametrize("text", ["n = 2\n1\n", "n = 3\nx1*x2\n1\n"])

@@ -508,6 +508,15 @@ def test_colon_identity_of_the_unit_ideal():
     assert identity.lhs == unit_ideal(3) and identity.holds
 
 
+@pytest.mark.parametrize("text", ["x1*x2, x2*x3", "x1^2*x2", "1"])
+def test_colon_identity_refuses_q_below_2_on_both_routes(text):
+    # Squarefree ideals take the pairs, the others the general colon.
+    ideal = minimize([parse_monomial(t, 3) for t in text.split(",")], 3)
+    for q in (1, 0, -1):
+        with pytest.raises(ValueError, match=f"q={q} must be >= 2"):
+            colon_identity(ideal, q)
+
+
 def test_ideal_test_reads_no_free_face_logic(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the ideal criterion used free-face logic")
