@@ -29,7 +29,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Collection, Iterable, Iterator, Optional
 
 from . import monomials as mono
 from .complexes import (
@@ -58,6 +58,11 @@ RANDOM_MAX_N = 20      # largest n that random_complex will sample
 # dual grows fastest; on joins of hollow triangles and on disjoint edges
 # both stay under 1.5 ms up to 300 facets per generator.
 _FACETS_PER_GENERATOR = 32
+# Most sets `complex_of_ideal` dualizes, so that no command that needs a
+# complex runs for minutes on a small `.ideal`: k disjoint edges have 2^k
+# facets, and `classify` took 2.9 s and 70 MB at k = 16, 6.5 s and 126 MB
+# at 17, and 68 s and 823 MB at 20 (2-vCPU Xeon).
+DUAL_BUDGET = 1 << 16
 # Up to this n the q-sweep of `_check_one` also compares both sides with
 # `monomials.colon`: for q = 3, 4, 8 on random complexes that adds 0.6 ms
 # a complex at n = 5, 9.6 ms (38 ms at most) at n = 8 and 33 ms (133 ms
@@ -91,7 +96,8 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     """Inverse Stanley-Reisner correspondence for squarefree ideals.
 
     Raises ValueError on the unit ideal, which belongs to the void complex:
-    not even ∅ is a face, and `SimplicialComplex` cannot hold that.
+    not even ∅ is a face, and `SimplicialComplex` cannot hold that; and
+    once the dualization passes DUAL_BUDGET sets.
     """
     if ideal.is_unit():
         raise ValueError("the unit ideal is the ideal of the void complex, "
@@ -99,7 +105,10 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     for g in ideal.gens:
         if not mono.is_squarefree(g):
             raise ValueError(f"generator {mono.format_monomial(g)} is not squarefree")
-    return from_masks(_facets_of_ideal(ideal), ideal.n)
+    facets = _facets_of_ideal(ideal, DUAL_BUDGET)
+    if facets is None:
+        raise ValueError(f"dualizing the ideal passes the budget of {DUAL_BUDGET} sets")
+    return from_masks(facets, ideal.n)
 
 
 def _supports(ideal: MonomialIdeal) -> list[int]:
@@ -120,7 +129,7 @@ def _facets_of_ideal(ideal: MonomialIdeal,
     return None if trans is None else [full & ~t for t in trans]
 
 
-def _sr_colon_pairs(facets: Iterable[int], nonfaces: Iterable[int],
+def _sr_colon_pairs(facets: Collection[int], nonfaces: Collection[int],
                     n: int) -> list[tuple[int, int]]:
     """Minimal generators of I^[q] : I for the Stanley-Reisner ideal I of
     a complex, as pairs (A, B) with B ⊆ A for x_B^q · x_{A∖B}^{q-1}.
@@ -140,8 +149,6 @@ def _sr_colon_pairs(facets: Iterable[int], nonfaces: Iterable[int],
     v, and is reached from it by dropping one vertex at a time.  No face
     outside these descents is visited, and the pairs do not depend on q.
     """
-    facets = list(facets)
-    nonfaces = list(nonfaces)
     full = (1 << n) - 1
     cone = full
     for f in facets:
@@ -281,7 +288,7 @@ def _pair_ideal(pairs: Iterable[tuple[int, int]], q: int, n: int) -> MonomialIde
         tuple(q if b & s else (q - 1 if a & s else 0) for s in bits) for a, b in pairs))
 
 
-def _identity_pairs(n: int, q: int, nonfaces: list[int], facets: Iterable[int]
+def _identity_pairs(n: int, q: int, nonfaces: list[int], facets: Collection[int]
                     ) -> tuple[set[tuple[int, int]], set[tuple[int, int]]]:
     """Both sides of the identity for the Stanley-Reisner ideal I of the
     complex on [n] with these minimal nonfaces and facets, all bitmasks, as
@@ -306,7 +313,7 @@ def _identity_pairs(n: int, q: int, nonfaces: list[int], facets: Iterable[int]
 
 
 def _colon_identity(n: int, q: int, nonfaces: list[int],
-                    facets: Iterable[int]) -> ColonIdentity:
+                    facets: Collection[int]) -> ColonIdentity:
     """The identity, as ideals, from the pairs of `_identity_pairs`."""
     lhs, rhs = _identity_pairs(n, q, nonfaces, facets)
     return ColonIdentity(_pair_ideal(lhs, q, n), _pair_ideal(rhs, q, n))
@@ -363,14 +370,18 @@ class ClassificationReport:
         }
 
 
-def _core_facets_original(cx: SimplicialComplex) -> tuple[tuple[int, ...], ...]:
-    keep = support_vertices(cx)
-    facets = {f & keep for f in cx.facets}
-    return tuple(mask_vertices(f) for f in sorted(facets, key=face_key))
-
-
 def _relabel(mask: int, vmap: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([vmap[i - 1] for i in mask_vertices(mask)])
+
+
+def _core_fields(core_cx: SimplicialComplex, vmap: tuple[int, ...]) -> dict:
+    """The report fields V and the core facets, in the original vertex
+    labels, of the core and its vertex map.  The map lists V and keeps the
+    vertex order, so the relabelled facets sort as `face_key` sorts the
+    core's own."""
+    core_facets = sorted([_relabel(f, vmap) for f in core_cx.facets],
+                         key=lambda t: (len(t), t))
+    return {"support_v": vmap, "core_facets": tuple(core_facets)}
 
 
 def _pair_strings(lhs: set[tuple[int, int]], rhs: set[tuple[int, int]],
@@ -412,15 +423,13 @@ def _pair_strings(lhs: set[tuple[int, int]], rhs: set[tuple[int, int]],
             a ^= low
         keyed.append((key, pair, "*".join(parts)))
     keyed.sort()
-    lhs_strings = tuple(s for _, pair, s in keyed if pair in lhs)
-    if lhs == rhs:
-        return {"colon_lhs": lhs_strings, "colon_rhs": lhs_strings}
-    return {"colon_lhs": lhs_strings,
+    return {"colon_lhs": tuple(s for _, pair, s in keyed if pair in lhs),
             "colon_rhs": tuple(s for _, pair, s in keyed if pair in rhs)}
 
 
 def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationReport:
-    """Verdict from the colon-ideal identity on Δ itself (no core reduction).
+    """Verdict from the colon-ideal identity on Δ itself (no core reduction);
+    the core gives only the report's V and core facets.
 
     The witness is the first lhs generator outside the rhs.  Both sides are
     minimal generating sets and the lhs contains the rhs, so a generator of
@@ -435,9 +444,8 @@ def classify_via_ideal(cx: SimplicialComplex, q: int = 2) -> ClassificationRepor
     return ClassificationReport(
         verdict=_verdict(lhs == rhs),
         n=cx.n,
-        support_v=mask_vertices(support_vertices(cx)),
-        core_facets=_core_facets_original(cx),
         monomial_witness=witness,
+        **_core_fields(*core(cx)),
         **strings,
     )
 
@@ -470,17 +478,12 @@ def classify_via_free_face(cx: SimplicialComplex) -> ClassificationReport:
         first = scan.pairs[0]
         witness = (_relabel(first.free_face, scan.vmap), _relabel(first.facet, scan.vmap))
         monomial = mono.format_monomial(witness_monomial(scan.core, first))
-    # The core's vertex map lists V and keeps the vertex order, so the
-    # relabelled facets sort as `face_key` sorts the core's own.
-    core_facets = sorted([_relabel(f, scan.vmap) for f in scan.core.facets],
-                         key=lambda t: (len(t), t))
     return ClassificationReport(
         verdict=scan.verdict,
         n=cx.n,
-        support_v=scan.vmap,
-        core_facets=tuple(core_facets),
         free_face_witness=witness,
         monomial_witness=monomial,
+        **_core_fields(scan.core, scan.vmap),
     )
 
 

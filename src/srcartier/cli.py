@@ -234,18 +234,14 @@ def cmd_cross_validate(args, _) -> int:
         raise ValueError(f"--trials {args.trials} must be >= 1")
     if args.exhaustive and args.single_n is None:
         raise ValueError("--exhaustive needs --n")
+    # Without --n, the default sizes of `cross_validate` apply.
+    sizes = {}
     if args.single_n is not None:
         ns = (args.single_n,)
-        exhaustive, rand = (ns, ()) if args.exhaustive else ((), ns)
-    else:
-        exhaustive, rand = (1, 2, 3, 4, 5), (6, 7, 8)
+        sizes = {"exhaustive_ns": ns if args.exhaustive else (),
+                 "random_ns": () if args.exhaustive else ns}
     report = cl.cross_validate(
-        exhaustive_ns=exhaustive,
-        random_ns=rand,
-        trials_per_n=args.trials,
-        seed=args.seed,
-        q_sweep=args.q_sweep,
-    )
+        trials_per_n=args.trials, seed=args.seed, q_sweep=args.q_sweep, **sizes)
     obj = report.to_json_dict()
     lines = [
         f"complexes checked: {report.total} (pg {report.pg}, infgen {report.infgen})",

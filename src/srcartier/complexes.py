@@ -20,7 +20,7 @@ counted as the sum of 2^|F|, exceed FACE_BUDGET.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
 FACE_BUDGET = 1 << 24  # most faces listed at once, as a sum of 2^|F| over facets
@@ -102,8 +102,7 @@ def faces_of_facets(facets: Iterable[int], minus: Iterable[int] = ()) -> set[int
     if total > FACE_BUDGET:
         raise ValueError(f"up to {total} faces to list, over the face budget of {FACE_BUDGET}")
     faces = _subsets(facets)
-    if minus:
-        faces -= _subsets(minus)
+    faces -= _subsets(minus)
     return faces
 
 
@@ -263,9 +262,9 @@ def support_vertices(cx: SimplicialComplex) -> int:
     return ((1 << cx.n) - 1) & ~cone_vertices(cx)
 
 
-def squeeze(masks: list[int], keep: int) -> list[int]:
+def squeeze(masks: Collection[int], keep: int) -> Collection[int]:
     """Masks inside `keep`, with the k bits of `keep`, in increasing order,
-    mapped to bits 0..k-1."""
+    mapped to bits 0..k-1: `masks` itself when they already are."""
     gaps = keep ^ ((1 << keep.bit_length()) - 1)
     while gaps:
         # Close the highest run of gaps, bits low..top-1, by shifting down.

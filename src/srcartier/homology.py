@@ -35,8 +35,11 @@ It reaches each face along one chain that adds vertices in increasing
 order: an entry (L, t) expands only the vertices i ≥ t of L, and the
 child lk_L(i) gets the threshold "its vertices below i".  A child seen
 before is expanded again only below its least earlier threshold.  No
-link is rebuilt from the facets of Δ, and a link's dimension is read off
-its Betti numbers, so no link is validated again.
+link is rebuilt from the facets of Δ.  A cache entry is one tuple
+(H̃_{-1}, ..., H̃_d), from degree -1 to d = dim L, and Reisner's tests
+read it as it is: L passes the CM test iff the sum is the last entry,
+and the Gorenstein* test iff that entry is also 1.  So a link's
+dimension is read off its tuple, and no link is validated again.
 
 Betti numbers come from a one-star quotient.  The closed star st v of a
 vertex is a cone, so H̃_i(Δ) ≅ H_i(Δ, st v), the homology of the chain
@@ -74,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .complexes import (
     SimplicialComplex,
@@ -251,10 +254,9 @@ def _check_boundary_squared(boundaries: dict[int, list[Row]]):
                 raise AssertionError("boundary squared is nonzero")
 
 
-def _relabelled(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
+def _relabelled(facets: Collection[int]) -> tuple[int, frozenset[int]]:
     """The support of the facets, as a mask, and the facets with its k
     vertices, in increasing order, mapped to bits 0..k-1."""
-    facets = list(facets)
     support = 0
     for f in facets:
         support |= f
@@ -288,7 +290,7 @@ def _count_classes(facets: Iterable[int]) -> list[int]:
     return classes
 
 
-def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
+def _root_key(facets: Collection[int]) -> tuple[int, frozenset[int]]:
     """The support of the facets, as a mask, and the facets with its k
     vertices, ordered by the number of facets that hold them, fewest
     first and ties by label, mapped to bits 0..k-1.
@@ -298,7 +300,6 @@ def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     differ only by labels often get the same key.  Only a pure Δ is keyed
     so: its links go through `_relabelled` in `_link_keys`.
     """
-    facets = list(facets)
     classes = _count_classes(facets)
     support = sum(classes)  # the classes are disjoint
     if all(c < d & -d for c, d in zip(classes, classes[1:])):
@@ -321,10 +322,11 @@ def _root_key(facets: Iterable[int]) -> tuple[int, frozenset[int]]:
     return support, frozenset(keyed)
 
 
-def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """(k, H̃_k) for k = -1..dim Δ over GF(p) of the relabelled facets of an
-    already validated complex; over Z (p = 0) the same numbers for every
-    GF(p), or None where unit pivots do not certify them.
+def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[int, ...]]:
+    """(H̃_{-1}, ..., H̃_d) over GF(p), d = dim Δ, of the relabelled facets
+    of an already validated complex; over Z (p = 0) the same numbers for
+    every GF(p), or None where unit pivots do not certify them.  The
+    tuple starts at degree -1, so its length is dim Δ + 2.
 
     Built on the quotient by the star of the vertex v in the most facets
     (the lowest such bit): the faces σ with σ ∪ v ∉ Δ, i.e. the faces of the
@@ -335,27 +337,28 @@ def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[tuple
     """
     d = max(f.bit_count() for f in facets) - 1
     if d < 0:
-        return ((-1, 1),)
+        return (1,)
     top = _count_classes(facets)[-1]
     v = top & -top
     if all(f & v for f in facets):
-        return tuple((k, 0) for k in range(-1, d + 1))
+        return (0,) * (d + 2)
     quotient = faces_of_facets((f for f in facets if not f & v),
                                minus=(f ^ v for f in facets if f & v))
     dims = build_chain_complex(quotient, p).homology_dims()
     if dims is None:
         return None
-    return tuple((k, dims.get(k, 0)) for k in range(-1, d + 1))
+    return tuple(dims.get(k, 0) for k in range(-1, d + 1))
 
 
 @lru_cache(maxsize=1 << 17)
-def _reduced_betti_cached(facets: frozenset[int]) -> Optional[tuple[tuple[int, int], ...]]:
+def _reduced_betti_cached(facets: frozenset[int]) -> Optional[tuple[int, ...]]:
     """The reduced Betti numbers of the relabelled facets over every GF(p),
-    from one elimination over Z, or None where they may depend on p."""
+    from degree -1 up, from one elimination over Z, or None where they
+    may depend on p."""
     return _star_quotient_betti(facets, 0)
 
 
-def _betti(facets: frozenset[int], p: int) -> tuple[tuple[int, int], ...]:
+def _betti(facets: frozenset[int], p: int) -> tuple[int, ...]:
     """The cached Betti numbers, or for an entry that depends on p (RP², say)
     the elimination over GF(p), uncached."""
     return _reduced_betti_cached(facets) or _star_quotient_betti(facets, p)
@@ -367,7 +370,7 @@ def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     # Any labelling gives the same numbers.  Only a pure Δ is walked, by
     # the Reisner tests, and its walk starts from the root key.
     key = _root_key if is_pure(cx) else _relabelled
-    return dict(_betti(key(cx.facets)[1], p))
+    return dict(enumerate(_betti(key(cx.facets)[1], p), -1))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -462,21 +465,12 @@ def _link_keys(cx: SimplicialComplex) -> Iterator[frozenset[int]]:
             stack.append((child, t, end))
 
 
-def _link_betti(cx: SimplicialComplex, p: int) -> Iterator[tuple[int, dict[int, int]]]:
-    """(dim L, reduced Betti numbers of L over GF(p)) once for each link L
-    of a face of Δ up to relabelling, lazily.  The Betti numbers sit in
-    degrees -1..dim L, so the last one gives dim L."""
-    for facets in _link_keys(cx):
-        betti = _betti(facets, p)
-        yield betti[-1][0], dict(betti)
-
-
 def is_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
     """Reisner's criterion: links have no reduced homology below their dim."""
     PrimeField(p)
     # Betti numbers are nonnegative, so the sum is the top one iff the rest vanish.
     return is_pure(cx) and all(
-        sum(betti.values()) == betti[d] for d, betti in _link_betti(cx, p))
+        sum(b) == b[-1] for b in (_betti(key, p) for key in _link_keys(cx)))
 
 
 def is_doubly_cohen_macaulay(cx: SimplicialComplex, p: int = 2) -> bool:
@@ -500,7 +494,7 @@ def is_gorenstein_star(cx: SimplicialComplex, p: int = 2) -> bool:
     one-dimensional on top)."""
     PrimeField(p)
     return is_pure(cx) and all(
-        sum(betti.values()) == betti[d] == 1 for d, betti in _link_betti(cx, p))
+        sum(b) == b[-1] == 1 for b in (_betti(key, p) for key in _link_keys(cx)))
 
 
 def is_gorenstein(cx: SimplicialComplex, p: int = 2) -> bool:

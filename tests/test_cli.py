@@ -253,14 +253,17 @@ class TestColon:
         assert outputs[0] == outputs[1]
         assert all(code == 0 and err == "" for code, _, err in outputs[0])
 
-    def test_many_disjoint_edges(self, capsys, tmp_path):
-        # The complex has 2^24 facets; `colon` must not list them.
+    @pytest.mark.parametrize("k", [20, 24])
+    def test_many_disjoint_edges(self, capsys, tmp_path, k):
+        # The complex has 2^k facets; `colon` must not list them, and it is
+        # not held to the dualization budget of the commands that need a
+        # complex.
         p = tmp_path / "edges.ideal"
-        p.write_text(disjoint_edges(24))
+        p.write_text(disjoint_edges(k))
         code, out, err = run(capsys, "colon", str(p), "--json")
         d = json.loads(out)
         assert (code, err, d["equal"], d["offending"]) == (0, "", True, [])
-        assert len(d["lhs"]) == 25
+        assert len(d["lhs"]) == k + 1
 
     def test_variable_limit_is_inclusive(self, capsys, tmp_path):
         p = tmp_path / "i.ideal"
@@ -504,6 +507,25 @@ class TestErrorBoundary:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "over the face budget" in err
+
+    @pytest.mark.parametrize("k", [17, 20])
+    @pytest.mark.parametrize("command", ["classify", "nonfaces", "homology"])
+    def test_over_the_dualization_budget(self, capsys, tmp_path, command, k):
+        # k disjoint edges have 2^k facets: past the budget of 2^16 sets
+        # from k = 17.  Before the budget, `classify` ran 68 s at k = 20.
+        p = tmp_path / "edges.ideal"
+        p.write_text(disjoint_edges(k))
+        assert run(capsys, command, str(p)) == (
+            1, "", "error: dualizing the ideal passes the budget of 65536 sets\n")
+
+    def test_dualization_budget_is_inclusive(self, capsys, tmp_path):
+        # 16 disjoint edges: 2^16 facets, the boundary of the 15-dimensional
+        # cross-polytope, which is pg.
+        p = tmp_path / "edges.ideal"
+        p.write_text(disjoint_edges(16))
+        code, out, err = run(capsys, "classify", str(p))
+        assert (code, err) == (0, "")
+        assert out.startswith("verdict: principally generated\n")
 
     def test_library_value_error_after_loading(self, capsys, monkeypatch, infgen_file):
         def refuse(cx):

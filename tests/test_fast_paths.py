@@ -86,10 +86,10 @@ from srcartier import complexes
 from srcartier.homology import (
     BuchsbaumStarRefutation,
     RankCertificate,
+    _betti,
     _contrastar_quotient,
     _count_classes,
     _eliminate,
-    _link_betti,
     _link_keys,
     _reduced_betti_cached,
     _relabelled,
@@ -778,10 +778,13 @@ def test_cleared_homology_matches_the_uncleared_ranks(small_complexes, p):
 
 def test_link_walk_matches_one_link_per_face(small_complexes):
     # The walk yields each link once up to relabelling, so the two agree as
-    # sets of (dim, Betti numbers), not face by face.
+    # sets of (dim, Betti numbers), not face by face.  A link's Betti
+    # numbers run from degree -1 to its dimension.
     for p in (2, 3):
         for cx in small_complexes:
-            assert betti_set(_link_betti(cx, p)) == betti_set(link_betti_per_face(cx, p))
+            walked = ((len(b) - 2, dict(enumerate(b, -1)))
+                      for b in (_betti(key, p) for key in _link_keys(cx)))
+            assert betti_set(walked) == betti_set(link_betti_per_face(cx, p))
 
 
 def test_increasing_chains_visit_the_links_of_the_unpruned_walk(small_complexes):
@@ -825,7 +828,7 @@ def check_certified_betti(cx):
     certified = _reduced_betti_cached(_relabelled(cx.facets)[1])
     for p in (2, 3, 5):
         if certified is not None:
-            assert dict(certified) == betti_direct(cx, p)
+            assert dict(enumerate(certified, -1)) == betti_direct(cx, p)
         assert reduced_betti(cx, p) == betti_direct(cx, p)
     return certified is not None
 
