@@ -52,16 +52,20 @@ from .monomials import Monomial, MonomialIdeal
 
 EXHAUSTIVE_MAX_N = 5   # largest n that enumerate_complexes will visit
 RANDOM_MAX_N = 20      # largest n that random_complex will sample
-# Past this many dual sets per generator `colon_identity` uses
-# `monomials.colon`.  The two routes cost the same between 7 and 31
-# facets per generator on joins of 3-point sets and of pentagons, whose
-# dual grows fastest; on joins of hollow triangles and on disjoint edges
-# both stay under 1.5 ms up to 300 facets per generator.
+# Past this many leaves of the dualization per generator (one per facet
+# on these joins) `colon_identity` uses `monomials.colon`.  At q = 2 on
+# joins of 3-point sets, whose dual grows fastest, the two routes cost the
+# same at 40 facets per generator (4.1 ms); on joins of pentagons the
+# dual route is still ahead at 31 (2.9 against 3.4 ms); on joins of hollow
+# triangles and on disjoint edges the general colon leads from about 50,
+# and both stay under 1.6 ms up to 100.
 _FACETS_PER_GENERATOR = 32
-# Most sets `complex_of_ideal` dualizes, so that no command that needs a
-# complex runs for minutes on a small `.ideal`: k disjoint edges have 2^k
-# facets, and `classify` took 2.9 s and 70 MB at k = 16, 6.5 s and 126 MB
-# at 17, and 68 s and 823 MB at 20 (2-vCPU Xeon).
+# Most leaves (transversals found plus dead ends) the dualization of
+# `complex_of_ideal` may reach, so that no command that needs a complex
+# runs for minutes on a small `.ideal`: k disjoint edges have 2^k facets,
+# one leaf each.  `classify` takes 1.8-2.0 s and 73 MB at k = 16, and
+# refuses k = 17 in 0.2 s; before any budget it took 6.5 s and 126 MB at
+# 17, and 68 s and 823 MB at 20 (2-vCPU Xeon).
 DUAL_BUDGET = 1 << 16
 # Up to this n the q-sweep of `_check_one` also compares both sides with
 # `monomials.colon`: for q = 3, 4, 8 on random complexes that adds 0.6 ms
@@ -97,7 +101,7 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
 
     Raises ValueError on the unit ideal, which belongs to the void complex:
     not even ∅ is a face, and `SimplicialComplex` cannot hold that; and
-    once the dualization passes DUAL_BUDGET sets.
+    once the dualization passes DUAL_BUDGET leaves.
     """
     if ideal.is_unit():
         raise ValueError("the unit ideal is the ideal of the void complex, "
@@ -118,7 +122,7 @@ def _supports(ideal: MonomialIdeal) -> list[int]:
 def _facets_of_ideal(ideal: MonomialIdeal,
                      limit: Optional[int] = None) -> Optional[list[int]]:
     """The facets of the complex of a squarefree ideal, as bitmasks, or
-    None once the dualization outgrows `limit` sets.
+    None once the dualization passes `limit` leaves.
 
     A set is a face iff its complement meets every generator support, so
     the facets are the complements of the minimal transversals, an
@@ -260,7 +264,7 @@ def colon_identity(ideal: MonomialIdeal, q: int) -> ColonIdentity:
     supports, and both sides come from `_colon_identity`.  Any other ideal
     (one with a generator that is not squarefree, or the unit ideal) goes
     through the general `monomials.colon`, and so does a squarefree ideal
-    whose dualization passes `_FACETS_PER_GENERATOR` sets per generator:
+    whose dualization passes `_FACETS_PER_GENERATOR` leaves per generator:
     k disjoint edges have 2^k facets, while `monomials.colon` stays
     polynomial there.
     """

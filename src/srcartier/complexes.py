@@ -7,14 +7,15 @@ not representable.
 
 Nothing here walks all 2^n subsets of the ground set.  Minimal nonfaces
 are computed by hypergraph dualization (Alexander duality: they are the
-minimal transversals of the facet complements, found by Berge's algorithm
-with the edges in increasing mask order, see `_minimal_transversals`),
-free faces come from the ridges G minus v of the facets G, and an
-elementary collapse rewrites the facet list directly.  Only
-`faces_of_facets` (and `SimplicialComplex.faces`, which calls it) lists
-every face, and no routine on the classify path calls it.  It raises
-ValueError, before listing any face, when the subsets of the facets,
-counted as the sum of 2^|F|, exceed FACE_BUDGET.
+minimal transversals of the facet complements, found by the MMCS
+depth-first search over per-vertex bitsets of the edges, whose work is
+bounded by its leaves, see `_minimal_transversals`), free faces come from
+the ridges G minus v of the facets G, and an elementary collapse rewrites
+the facet list directly.  Only `faces_of_facets` (and
+`SimplicialComplex.faces`, which calls it) lists every face, and no
+routine on the classify path calls it.  It raises ValueError, before
+listing any face, when the subsets of the facets, counted as the sum of
+2^|F|, exceed FACE_BUDGET.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Collection, Iterable, Iterator, NamedTuple, Optional
 
 MAX_VERTICES = 64
 FACE_BUDGET = 1 << 24  # most faces listed at once, as a sum of 2^|F| over facets
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # for bytes.translate
 
 
 def vertex_mask(vertices: Iterable[int], n: int) -> int:
@@ -54,9 +56,17 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def face_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Graded-lexicographic sort key on faces (cardinality, then labels)."""
-    return (mask.bit_count(), mask_vertices(mask))
+def face_key(mask: int) -> tuple[int, int]:
+    """Graded-lexicographic sort key on faces (cardinality, then labels).
+
+    Of two sets of one size, the one holding the lower first differing
+    label comes first: with the MAX_VERTICES bits reversed, vertex 1
+    highest, it is the larger mask.  So the key negates the bit-reversed
+    mask (its bytes reversed in order and within each byte) and builds no
+    tuple of labels.
+    """
+    reversed_bytes = mask.to_bytes(MAX_VERTICES // 8, "little").translate(_REVERSED_BITS)
+    return (mask.bit_count(), -int.from_bytes(reversed_bytes, "big"))
 
 
 def _maximal(masks: Iterable[int]) -> frozenset[int]:
@@ -309,49 +319,83 @@ def deletion(cx: SimplicialComplex, v: int) -> SimplicialComplex:
     return from_masks((f & ~bit for f in cx.facets), cx.n)
 
 
+def _incidence(edges: list[int], n: int) -> list[int]:
+    """For each vertex i+1, the bitset of the edges that contain it: bit j
+    is set iff edges[j] holds the vertex.
+
+    The edges are written as rows of n binary digits, edge 0 last, and
+    zip reads the columns off them, so each bitset is parsed once instead
+    of being grown one edge at a time (7-9x faster from 1,500 edges on).
+    """
+    top = 1 << n  # a leading 1 pins every row to n digits
+    rows = [format(e | top, "b") for e in reversed(edges)]
+    return [int("".join(col), 2) for col in zip(*rows)][:0:-1]
+
+
 def _minimal_transversals(edges: Iterable[int], n: int,
                           limit: Optional[int] = None) -> Optional[list[int]]:
-    """Minimal vertex sets meeting every edge, by Berge dualization, or
-    None once the transversals of some prefix of the edges outnumber
-    `limit`.
+    """Minimal vertex sets meeting every edge, by the MMCS depth-first
+    search (Murakami-Uno, Discrete Appl. Math. 170, 2014), or None once
+    the search passes `limit` leaves.
 
-    Edges are processed one at a time.  A transversal that meets the new
-    edge is kept; one that misses it is extended by each vertex v of the
-    edge, and the extension is minimal unless a kept transversal lies
-    inside it (such a kept set must contain v).  An empty edge leaves no
-    transversal; no edges leave the empty set.  The work depends on the
-    edges and on the transversals of their prefixes, not on a scan of the
-    2^n subsets of the ground set.
+    Each vertex holds the bitset of the edges it meets, over the sorted,
+    distinct edges.  A node of the search is a set S whose every vertex u
+    has a private edge, one that no other vertex of S meets; `crit` holds
+    these, one bitset per vertex of S.  The node branches on the lowest
+    edge that S misses, adding each candidate vertex v of that edge whose
+    addition leaves every u a private edge.  S is then a minimal
+    transversal once it meets every edge, and every minimal transversal is
+    reached this way.  The vertices of the branching edge leave the
+    candidates for the branch of its first vertex, and each comes back
+    once its own branch is done, so no set is reached twice.  An empty
+    edge leaves no transversal; no edges leave the empty set.
 
-    The transversals found do not depend on the order of the edges, but
-    the work does.  The edges are taken in increasing mask order, which
-    keeps the edges that share their highest vertices together, so each
-    prefix is every edge below one in colexicographic order.  Set-iteration
-    order follows hash values and scatters them: on a relabelled boundary
-    of the cross-polytope on 24 vertices its prefixes reached 3,604
-    minimal transversals, against 23 in mask order (6-7 s against 0.06 s),
-    while on random complexes the two orders cost about the same.
+    A leaf is a transversal found or a node with no child.  Every other
+    node has a child and the depth is at most n, so the work is bounded by
+    about n nodes per leaf, with no scan of the 2^n subsets of the ground
+    set and no comparison with the transversals found so far.
     """
-    full = (1 << n) - 1
-    trans = [0]
-    for e in sorted({e & full for e in edges}):
-        missed = [t for t in trans if not t & e]
-        if not missed:
-            continue
-        hit = [t for t in trans if t & e]
-        trans = hit[:]
-        for v in _bits(e):
-            hit_v = [h for h in hit if h & v]
-            for t in missed:
-                tv = t | v
-                for h in hit_v:
-                    if h & ~tv == 0:
+    edges = sorted({e & ((1 << n) - 1) for e in edges})
+    every = (1 << len(edges)) - 1
+    hits = _incidence(edges, n)
+    misses = [every ^ h for h in hits]
+    found: list[int] = []
+    leaves = 0
+
+    def search(s: int, crit: list[int], cand: int, uncov: int) -> bool:
+        """Search below S = s, with the private edges `crit` of its
+        vertices, the candidate vertices `cand` and the edges `uncov` it
+        misses; False once the leaves pass `limit`."""
+        nonlocal leaves
+        if uncov:
+            c = cand & edges[(uncov & -uncov).bit_length() - 1]
+            cand ^= c
+            leaf = True
+            while c:
+                v = c & -c
+                c ^= v
+                i = v.bit_length() - 1
+                miss = misses[i]
+                kept = []
+                for k in crit:
+                    k &= miss
+                    if not k:
                         break
+                    kept.append(k)
                 else:
-                    trans.append(tv)
-        if limit is not None and len(trans) > limit:
-            return None
-    return trans
+                    leaf = False
+                    kept.append(hits[i] & uncov)
+                    if not search(s | v, kept, cand, uncov & miss):
+                        return False
+                cand |= v
+            if not leaf:
+                return True
+        else:
+            found.append(s)
+        leaves += 1
+        return limit is None or leaves <= limit
+
+    return found if search(0, [], (1 << n) - 1, every) else None
 
 
 def minimal_nonfaces(cx: SimplicialComplex) -> list[int]:

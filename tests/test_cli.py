@@ -511,8 +511,9 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("k", [17, 20])
     @pytest.mark.parametrize("command", ["classify", "nonfaces", "homology"])
     def test_over_the_dualization_budget(self, capsys, tmp_path, command, k):
-        # k disjoint edges have 2^k facets: past the budget of 2^16 sets
-        # from k = 17.  Before the budget, `classify` ran 68 s at k = 20.
+        # k disjoint edges have 2^k facets, one leaf of the dualization
+        # each: past the budget of 2^16 leaves from k = 17.  Before the
+        # budget, `classify` ran 68 s at k = 20.
         p = tmp_path / "edges.ideal"
         p.write_text(disjoint_edges(k))
         assert run(capsys, command, str(p)) == (

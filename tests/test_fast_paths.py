@@ -59,10 +59,13 @@ from srcartier.cartier import (
     trial_seed,
 )
 from srcartier.complexes import (
+    MAX_VERTICES,
     CoreResult,
     FreeFacePair,
     SimplicialComplex,
+    _bits,
     _maximal,
+    _minimal_transversals,
     build_complex,
     collapse_greedy,
     cone_vertices,
@@ -82,7 +85,7 @@ from srcartier.complexes import (
     support_vertices,
     vertex_mask,
 )
-from srcartier import complexes
+from srcartier import complexes as complexes_module
 from srcartier.homology import (
     BuchsbaumStarRefutation,
     RankCertificate,
@@ -135,6 +138,31 @@ def minimal_nonfaces_scan(cx):
             if not is_face(cx, m):
                 found.append(m)
     return found
+
+
+def minimal_transversals_berge(edges, n):
+    """Berge's algorithm: the minimal transversals of each prefix of the
+    edges, extended one edge at a time, in increasing mask order."""
+    full = (1 << n) - 1
+    trans = [0]
+    for e in sorted({e & full for e in edges}):
+        missed = [t for t in trans if not t & e]
+        if not missed:
+            continue
+        hit = [t for t in trans if t & e]
+        trans = hit[:]
+        for v in _bits(e):
+            hit_v = [h for h in hit if h & v]
+            for t in missed:
+                tv = t | v
+                if all(h & ~tv for h in hit_v):
+                    trans.append(tv)
+    return trans
+
+
+def face_key_tuples(mask):
+    """Cardinality, then the tuple of vertex labels."""
+    return (mask.bit_count(), mask_vertices(mask))
 
 
 def free_faces_scan(cx):
@@ -523,7 +551,7 @@ def test_ideal_test_reads_no_free_face_logic(monkeypatch):
 
     for name in ("free_faces", "is_free_face_pair", "core", "classify_via_free_face"):
         monkeypatch.setattr(cartier, name, forbidden)
-        monkeypatch.setattr(complexes, name, forbidden, raising=False)
+        monkeypatch.setattr(complexes_module, name, forbidden, raising=False)
     monkeypatch.setattr(SimplicialComplex, "faces", forbidden)
     infgen = [build_complex([[1, 3], [2]], 3),
               build_complex([[1, 2], [2, 3], [3, 4], [4, 5], [5, 1], [1, 3, 6]], 6)]
@@ -1020,3 +1048,130 @@ def test_mask_vertices_matches_the_bitwise_loop():
         sparse = sum(1 << rng.randrange(1024) for _ in range(rng.randint(0, 6)))
         for mask in (dense, sparse):
             assert mask_vertices(mask) == mask_vertices_bitwise(mask)
+
+
+# -- dualization: the MMCS search against Berge's algorithm ----------------
+
+def cross_polytope_facets(d):
+    """The boundary of the d-dimensional cross-polytope on 2d vertices: one
+    vertex of each pair {2i+1, 2i+2} per facet."""
+    facets = [0]
+    for i in range(d):
+        facets = [f | 1 << (2 * i + c) for f in facets for c in (0, 1)]
+    return facets
+
+
+def disjoint_edge_masks(k):
+    return [3 << (2 * i) for i in range(k)]
+
+
+def check_dualization(edges, n):
+    """The transversals of the edges, each found once, and their own
+    transversals, which are the inclusion-minimal edges."""
+    found = _minimal_transversals(edges, n)
+    assert sorted(found) == sorted(minimal_transversals_berge(edges, n))
+    assert len(set(found)) == len(found)
+    full = (1 << n) - 1
+    minimal_edges = sorted(full ^ m for m in _maximal(full ^ e for e in edges))
+    back = _minimal_transversals(found, n)
+    assert sorted(back) == sorted(minimal_transversals_berge(found, n)) == minimal_edges
+
+
+def facet_complements(cx):
+    full = (1 << cx.n) - 1
+    return [full & ~f for f in cx.facets]
+
+
+def test_dualization_matches_berge_on_every_small_complex(small_complexes):
+    for cx in small_complexes:
+        check_dualization(facet_complements(cx), cx.n)
+
+
+@pytest.mark.parametrize("n", range(6, 15))
+def test_dualization_matches_berge_on_random_complexes(n):
+    for t in range(10):
+        cx = random_complex(n, cartier._DENSITIES[t % 5], trial_seed(11, n, t))
+        check_dualization(facet_complements(cx), n)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_dualization_matches_berge_on_cross_polytopes(d):
+    cx = from_masks(cross_polytope_facets(d), 2 * d)
+    assert sorted(minimal_nonfaces(cx)) == disjoint_edge_masks(d)
+    check_dualization(facet_complements(cx), 2 * d)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_dualization_matches_berge_on_disjoint_edges(k):
+    check_dualization(disjoint_edge_masks(k), 2 * k)
+
+
+@pytest.mark.parametrize("edges, n, expected", [
+    ([], 3, [0]),                   # no edges: the empty set meets them all
+    ([0], 3, []),                   # nothing meets an empty edge
+    ([0b101, 0], 3, []),
+    ([0b1000, 0b011], 3, []),       # vertices past n are dropped
+    ([0b011, 0b011, 0b111], 3, [0b001, 0b010]),
+])
+def test_dualization_of_degenerate_edges(edges, n, expected):
+    assert sorted(_minimal_transversals(edges, n)) == expected
+
+
+def test_limit_counts_every_leaf_of_the_search():
+    # k disjoint edges: every leaf is one of the 2^k transversals.
+    for k in range(1, 9):
+        edges = disjoint_edge_masks(k)
+        assert _minimal_transversals(edges, 2 * k, (1 << k) - 1) is None
+        assert len(_minimal_transversals(edges, 2 * k, 1 << k)) == 1 << k
+    # The complements of the square's four edges {1,3} < {2,3} < {1,4} <
+    # {2,4}, in mask order.  Under {1} the search adds 2 and finds {1,2}.
+    # Under {3}, the lowest edge missed is {1,4}: 1 leaves {3} the one
+    # private edge {2,3}, and the edge {2,4} missed next offers only 2,
+    # which takes it, so {1,3} is a dead end; 4 finds {3,4}.  Three leaves,
+    # two transversals.
+    square = facet_complements(from_masks(cross_polytope_facets(2), 4))
+    assert _minimal_transversals(square, 4, 2) is None
+    assert sorted(_minimal_transversals(square, 4, 3)) == [0b0011, 0b1100]
+    assert _minimal_transversals([0], 3, 0) is None    # one dead end
+    assert _minimal_transversals([0], 3, 1) == []
+    assert _minimal_transversals([], 3, 0) is None     # one transversal, ∅
+    assert _minimal_transversals([], 3, 1) == [0]
+
+
+def test_limit_is_monotone_on_small_complexes(small_complexes):
+    """Below some least limit the search returns None, and from it on the
+    full answer; that least limit counts at least the transversals."""
+    for cx in small_complexes[::7]:
+        edges = facet_complements(cx)
+        full = _minimal_transversals(edges, cx.n)
+        least = next(k for k in range(len(full) + cx.n * len(edges) + 2)
+                     if _minimal_transversals(edges, cx.n, k) is not None)
+        assert least >= len(full)
+        assert _minimal_transversals(edges, cx.n, least) == full
+        assert _minimal_transversals(edges, cx.n, least + 5) == full
+        assert all(_minimal_transversals(edges, cx.n, k) is None for k in range(least))
+
+
+def test_dualization_budget_admits_16_disjoint_edges_and_refuses_17():
+    assert cartier.DUAL_BUDGET == 1 << 16
+    ideal = MonomialIdeal(32, frozenset(
+        tuple(1 if i // 2 == j else 0 for i in range(32)) for j in range(16)))
+    assert len(complex_of_ideal(ideal).facets) == 1 << 16
+    assert len(_minimal_transversals(disjoint_edge_masks(16), 32, 1 << 16)) == 1 << 16
+    assert _minimal_transversals(disjoint_edge_masks(17), 34, 1 << 16) is None
+
+
+def test_boundary_of_the_largest_simplex_has_one_minimal_nonface():
+    # The search adds the 64 vertices one by one, down to depth 64.
+    full = (1 << MAX_VERTICES) - 1
+    sphere = SimplicialComplex(MAX_VERTICES, frozenset(full ^ 1 << i for i in range(MAX_VERTICES)))
+    assert minimal_nonfaces(sphere) == [full]
+
+
+def test_face_key_sorts_as_the_label_tuples():
+    masks = list(range(1 << 12))
+    rng = random.Random(23)
+    wide = [rng.getrandbits(MAX_VERTICES) for _ in range(20000)]
+    wide += [sum(1 << v for v in rng.sample(range(MAX_VERTICES), 3)) for _ in range(2000)]
+    for group in (masks, wide):
+        assert sorted(group, key=face_key) == sorted(group, key=face_key_tuples)
