@@ -239,7 +239,10 @@ class ColonIdentity:
     def offending(self) -> Iterator[Monomial]:
         """Generators of the lhs outside the rhs, in sorted order.
 
-        The lhs contains the rhs, so a generator of the rhs is never one."""
+        For a squarefree ideal the lhs contains the rhs, so the identity
+        fails iff there is one.  Otherwise the rhs need not lie in the lhs:
+        for I = (x1^2) at q = 2 the lhs (x1^2) lies inside the rhs (x1),
+        and the identity fails with no generator listed here."""
         rhs = self.rhs
         return (g for g in self.lhs.sorted_gens()
                 if g not in rhs.gens and not mono.contains(rhs, g))
@@ -547,39 +550,19 @@ def enumerate_complexes(n: int) -> Iterator[SimplicialComplex]:
 def count_complexes_oracle(n: int) -> int:
     """Independent count of complexes on [n] via downset enumeration.
 
-    Downsets of the Boolean lattice 2^[k] are enumerated by brute force
-    over families (bitmask over 2^k subsets) for k <= 4; for n = 5 the
-    splitting on the last vertex counts pairs of nested downsets of 2^[4].
+    A downset of the Boolean lattice 2^[k], split on the last vertex, is a
+    pair D1 ⊆ D0 of downsets of 2^[k-1]: D0 the sets without the vertex,
+    D1 the sets that hold it, with the vertex taken out.  A downset is one
+    bit per subset of [k], so the pair packs into D0 | D1 << 2^(k-1).
     Complexes are the nonvoid downsets: the total minus one.
     """
     if n > 5:
         raise ValueError("oracle implemented for n <= 5")
-
-    def downsets(k: int) -> list[int]:
-        nsub = 1 << k
-        out = []
-        for fam in range(1 << nsub):
-            ok = True
-            for s in range(nsub):
-                if fam >> s & 1:
-                    t = s
-                    while ok and t:
-                        t = (t - 1) & s
-                        if not fam >> t & 1:
-                            ok = False
-                else:
-                    continue
-                if not ok:
-                    break
-            if ok:
-                out.append(fam)
-        return out
-
-    if n <= 4:
-        return len(downsets(n)) - 1
-    ds4 = downsets(4)
-    total = sum(1 for d0 in ds4 for d1 in ds4 if d1 & ~d0 == 0)
-    return total - 1
+    downsets = [0, 1]  # of 2^[0] = {∅}: the void family and {∅}
+    for k in range(1, n + 1):
+        half = 1 << (k - 1)
+        downsets = [d0 | d1 << half for d0 in downsets for d1 in downsets if d1 & ~d0 == 0]
+    return len(downsets) - 1
 
 
 def _witness_contract_holds(core_cx: SimplicialComplex, pair: FreeFacePair) -> bool:

@@ -296,13 +296,6 @@ def core(cx: SimplicialComplex) -> CoreResult:
     return CoreResult(SimplicialComplex(keep.bit_count(), facets), mask_vertices(keep))
 
 
-def join_with_simplex(cx: SimplicialComplex, extra: int) -> SimplicialComplex:
-    """Join with the full simplex on extra vertices 1..extra beyond n."""
-    n = cx.n + extra
-    add = ((1 << n) - 1) & ~((1 << cx.n) - 1)
-    return SimplicialComplex(n, frozenset(f | add for f in cx.facets))
-
-
 def link(cx: SimplicialComplex, face: int) -> SimplicialComplex:
     """Faces disjoint from `face` whose union with it stays a face."""
     facets = frozenset(f & ~face for f in cx.facets if face & ~f == 0)

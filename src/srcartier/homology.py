@@ -18,17 +18,18 @@ rows, so it is left out (Chen–Kerber, "Persistent homology computation
 with a twist", 2011).  Both proofs are in the docstrings.
 
 Reisner's criterion reads only (dim, H̃_*) of each link, and both are
-invariant under relabelling the vertices.  `_relabelled` maps the support
-vertices of a facet set, in increasing order, to bits 0..k-1 (with
-`complexes.squeeze`, which also gives `core` its labels), and Betti
-numbers are cached by the relabelled facets alone, for every prime at
-once.  A pure Δ, where the walk starts, is keyed by `_root_key` instead:
-its support vertices ordered by the number of facets that hold them,
-fewest first, ties by label.  Two complexes that differ only by labels
-then often share the key of Δ, and with it every key of the walk below;
-keyed by increasing labels they seldom do.  Within one complex, too,
-more of the isomorphic links end up with one key.  `_link_keys` lists
-each link once up to relabelling, starting from the root key:
+invariant under relabelling the vertices, so Betti numbers are cached by
+relabelled facets alone, for every prime at once.  Every Δ given to
+`reduced_betti` or to the Reisner tests is keyed by `_root_key`: its
+support vertices ordered by the number of facets that hold them, fewest
+first, ties by label, mapped to bits 0..k-1.  Two complexes that differ
+only by labels then often share the key of Δ, and with it every key of
+the walk below; keyed by increasing labels they seldom do.  Within one
+complex, too, more of the isomorphic links end up with one key.  The
+links below Δ are keyed by `_relabelled`, which maps the support
+vertices in increasing order to bits 0..k-1 (with `complexes.squeeze`,
+which also gives `core` its labels).  `_link_keys` lists each link once
+up to relabelling, starting from the root key:
 {lk F : F ∈ Δ} is the closure of {Δ} under vertex links, since
 lk(F ∪ v) = lk_{lk F}(v), and relabelling commutes with taking links.
 It reaches each face along one chain that adds vertices in increasing
@@ -297,14 +298,11 @@ def _root_key(facets: Collection[int]) -> tuple[int, frozenset[int]]:
 
     This is Δ under a bijection of its vertices, so it has the same Betti
     numbers and the same links up to isomorphism; two complexes that
-    differ only by labels often get the same key.  Only a pure Δ is keyed
-    so: its links go through `_relabelled` in `_link_keys`.
+    differ only by labels often get the same key.  Every Δ given to
+    `reduced_betti` or to the walk is keyed so; the links below it go
+    through `_relabelled` in `_link_keys`.
     """
     classes = _count_classes(facets)
-    support = sum(classes)  # the classes are disjoint
-    if all(c < d & -d for c, d in zip(classes, classes[1:])):
-        # Each class lies below the next, so the order is the labels'.
-        return support, frozenset(squeeze(facets, support))
     bit: dict[int, int] = {}
     for c in classes:
         while c:
@@ -319,7 +317,7 @@ def _root_key(facets: Collection[int]) -> tuple[int, frozenset[int]]:
             g |= bit[low]
             f ^= low
         keyed.append(g)
-    return support, frozenset(keyed)
+    return sum(classes), frozenset(keyed)  # the classes are disjoint
 
 
 def _star_quotient_betti(facets: frozenset[int], p: int) -> Optional[tuple[int, ...]]:
@@ -367,10 +365,7 @@ def _betti(facets: frozenset[int], p: int) -> tuple[int, ...]:
 def reduced_betti(cx: SimplicialComplex, p: int = 2) -> dict[int, int]:
     """Reduced Betti numbers over GF(p); {∅} has a single unit in degree -1."""
     PrimeField(p)
-    # Any labelling gives the same numbers.  Only a pure Δ is walked, by
-    # the Reisner tests, and its walk starts from the root key.
-    key = _root_key if is_pure(cx) else _relabelled
-    return dict(enumerate(_betti(key(cx.facets)[1], p), -1))
+    return dict(enumerate(_betti(_root_key(cx.facets)[1], p), -1))
 
 
 def _contrastar_quotient(faces: set[int], face: int, p: int) -> ChainComplexOverField:
@@ -440,7 +435,7 @@ def _link_keys(cx: SimplicialComplex) -> Iterator[frozenset[int]]:
     The walk starts from `_root_key(Δ)`, not from `_relabelled(Δ)`.  The
     root key is Δ under a bijection of its vertices, so it has the same
     Betti numbers and the same links up to isomorphism, and `reduced_betti`
-    keys a pure Δ the same way, so the first yield is its cache entry.  The
+    keys every Δ the same way, so the first yield is its cache entry.  The
     argument above uses no property of the root's vertex order: it needs
     only that each child keeps its parent's order, which `_relabelled`
     does for every child.
@@ -547,14 +542,3 @@ def buchsbaum_star_refutation(cx: SimplicialComplex, p: int = 2) -> Optional[Buc
     if free is None:
         return None
     return BuchsbaumStarRefutation("free_face", None, FreeFacePair(free, over[free]), 0, 1)
-
-
-def contrastar_profile(cx: SimplicialComplex, face: int, p: int = 2) -> dict[int, int]:
-    """H_*(Δ, cost F) in degrees 0..dim Δ; reduced homology of Δ if F = ∅."""
-    PrimeField(p)
-    if face == 0:
-        return reduced_betti(cx, p)
-    if not is_face(cx, face):
-        raise ValueError(f"{mask_vertices(face)} is not a face")
-    dims = _contrastar_quotient(cx.faces(), face, p).homology_dims()
-    return {k: dims.get(k, 0) for k in range(0, dimension(cx) + 1)}

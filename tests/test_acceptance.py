@@ -24,12 +24,10 @@ from srcartier.complexes import (
     build_complex,
     elementary_collapse,
     free_faces,
-    join_with_simplex,
     link,
     vertex_mask,
 )
 from srcartier.homology import (
-    contrastar_profile,
     is_doubly_cohen_macaulay,
     is_gorenstein_star,
     reduced_betti,
@@ -46,6 +44,7 @@ from srcartier.monomials import (
     parse_monomial,
     principal,
 )
+from test_properties import contrastar_profile, join_with_simplex
 
 PG = Verdict.PRINCIPALLY_GENERATED
 

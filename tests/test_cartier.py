@@ -285,7 +285,9 @@ class TestEnumeration:
         assert len(seen) == len(set(seen)) == count_complexes_oracle(4)
 
     def test_oracle_counts(self):
-        assert [count_complexes_oracle(n) for n in range(1, 5)] == [2, 5, 19, 167]
+        assert [count_complexes_oracle(n) for n in range(6)] == [1, 2, 5, 19, 167, 7580]
+        with pytest.raises(ValueError, match="n <= 5"):
+            count_complexes_oracle(6)
 
     def test_too_large(self):
         with pytest.raises(ValueError):

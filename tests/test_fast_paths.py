@@ -30,7 +30,9 @@ elimination at p = 2 against the xor-packed GF(2) elimination it
 replaced; the closed-form Buchsbaum*
 certificate against the ranks of the induced maps and against the first
 top-dimensional pair of `free_faces`; those four-rank induced maps
-against the cycle-basis computation they replaced; `_maximal` against
+against the cycle-basis computation they replaced; the dualization and
+the Betti numbers together against Alexander duality,
+H̃_i(Δ^∨) = H̃_{n-i-3}(Δ); `_maximal` against
 the all-pairs comparison it replaces; and `mask_vertices`, `squeeze` and the vertex
 map of `core` against a loop over every bit position.
 """
@@ -77,7 +79,6 @@ from srcartier.complexes import (
     deletion,
     dimension,
     is_face,
-    join_with_simplex,
     link,
     minimal_nonfaces,
     mask_vertices,
@@ -123,7 +124,7 @@ from srcartier.monomials import (
     unit_ideal,
     zero_ideal,
 )
-from test_properties import complexes
+from test_properties import complexes, join_with_simplex
 
 
 # -- reference implementations ----------------------------------------------
@@ -1175,3 +1176,66 @@ def test_face_key_sorts_as_the_label_tuples():
     wide += [sum(1 << v for v in rng.sample(range(MAX_VERTICES), 3)) for _ in range(2000)]
     for group in (masks, wide):
         assert sorted(group, key=face_key) == sorted(group, key=face_key_tuples)
+
+
+# -- Alexander duality: the dualization and the homology engine together -----
+
+def alexander_dual(cx):
+    """Δ^∨ = {[n] ∖ F : F ∉ Δ}, whose facets are the complements of the
+    minimal nonfaces of Δ; Δ must not be the simplex on [n]."""
+    full = (1 << cx.n) - 1
+    return from_masks([full & ~g for g in minimal_nonfaces(cx)], cx.n)
+
+
+def check_alexander_duality(cx, p):
+    """H̃_i(Δ^∨) = H̃_{n-i-3}(Δ) in every degree, and (Δ^∨)^∨ = Δ."""
+    dual = alexander_dual(cx)
+    assert alexander_dual(dual) == cx
+    betti, dual_betti = reduced_betti(cx, p), reduced_betti(dual, p)
+    for i in range(-1, cx.n):
+        assert dual_betti.get(i, 0) == betti.get(cx.n - i - 3, 0), (cx, i)
+
+
+def is_simplex(cx):
+    return cx.facets == {(1 << cx.n) - 1}
+
+
+def nonzero_betti(cx):
+    return {i: b for i, b in reduced_betti(cx).items() if b}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_alexander_duality_on_every_small_complex(small_complexes, p):
+    for cx in small_complexes:
+        if not is_simplex(cx):
+            check_alexander_duality(cx, p)
+
+
+@pytest.mark.parametrize("n", range(6, 13))
+def test_alexander_duality_on_random_complexes(n):
+    for t in range(40):
+        cx = random_complex(n, cartier._DENSITIES[t % 5], trial_seed(29, n, t))
+        if not is_simplex(cx):
+            check_alexander_duality(cx, (2, 3)[t % 2])
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_alexander_duality_on_cross_polytopes(d):
+    # The dual has one facet per disjoint edge, the other 2d - 2 vertices,
+    # and the homology of a (d - 2)-sphere.
+    cx = from_masks(cross_polytope_facets(d), 2 * d)
+    dual = alexander_dual(cx)
+    full = (1 << 2 * d) - 1
+    assert dual.facets == {full & ~e for e in disjoint_edge_masks(d)}
+    assert nonzero_betti(dual) == {d - 2: 1}
+    for p in (2, 3):
+        check_alexander_duality(cx, p)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_alexander_duality_on_disjoint_edges(k):
+    # k - 1 reduced components, so the dual has H̃_{2k-3} of rank k - 1.
+    cx = from_masks(disjoint_edge_masks(k), 2 * k)
+    assert nonzero_betti(alexander_dual(cx)) == {2 * k - 3: k - 1}
+    for p in (2, 3):
+        check_alexander_duality(cx, p)

@@ -21,7 +21,6 @@ from srcartier.homology import (
     _relabelled,
     build_chain_complex,
     buchsbaum_star_refutation,
-    contrastar_profile,
     is_cohen_macaulay,
     is_doubly_cohen_macaulay,
     is_gorenstein,
@@ -30,6 +29,7 @@ from srcartier.homology import (
     relative_map_is_surjective,
 )
 from test_fast_paths import betti_direct, is_cm_per_face, is_gorenstein_star_per_face
+from test_properties import contrastar_profile
 
 
 def euler_characteristic_reduced(cx):
@@ -255,6 +255,19 @@ class TestCohenMacaulay:
         assert misses > 1
         assert is_cohen_macaulay(second, p)
         assert _reduced_betti_cached.cache_info().misses == misses
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_relabelled_non_pure_complex_adds_no_miss(self, p):
+        # A triangle and a path, whose vertices lie in 1, 1, 2, 2 and 1
+        # facets, then 2, 1, 1, 2 and 1: a non-pure Δ is keyed by its root
+        # key too, and both labellings give the same one.
+        first = build_complex([{1, 2, 3}, {3, 4}, {4, 5}], 5)
+        second = build_complex([{1, 2, 3}, {1, 4}, {4, 5}], 5)
+        _reduced_betti_cached.cache_clear()
+        assert reduced_betti(first, p) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert _reduced_betti_cached.cache_info().misses == 1
+        assert reduced_betti(second, p) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        assert _reduced_betti_cached.cache_info().misses == 1
 
 
 class TestDoublyCohenMacaulay:

@@ -1,5 +1,9 @@
 """Property-based tests tying the ideal arithmetic, the combinatorics and
-the homology engine together."""
+the homology engine together.
+
+The helpers that only the tests call live here, and the other test files
+import them: the join with a simplex and the contrastar profile
+H_*(Δ, cost F), besides the supports `supp` and `supp_two`."""
 
 import json
 from itertools import permutations, product
@@ -17,6 +21,7 @@ from srcartier.cartier import (
     random_complex,
 )
 from srcartier.complexes import (
+    SimplicialComplex,
     collapse_greedy,
     cone_vertices,
     core,
@@ -26,13 +31,12 @@ from srcartier.complexes import (
     free_faces,
     from_masks,
     is_face,
-    join_with_simplex,
     link,
     mask_vertices,
     minimal_nonfaces,
     support_vertices,
 )
-from srcartier.homology import contrastar_profile, reduced_betti
+from srcartier.homology import PrimeField, _contrastar_quotient, reduced_betti
 from srcartier.monomials import (
     add,
     colon,
@@ -42,6 +46,24 @@ from srcartier.monomials import (
     multiply,
     principal,
 )
+
+
+def join_with_simplex(cx, extra):
+    """Join with the full simplex on extra vertices 1..extra beyond n."""
+    n = cx.n + extra
+    simplex = ((1 << n) - 1) & ~((1 << cx.n) - 1)
+    return SimplicialComplex(n, frozenset(f | simplex for f in cx.facets))
+
+
+def contrastar_profile(cx, face, p=2):
+    """H_*(Δ, cost F) in degrees 0..dim Δ; reduced homology of Δ if F = ∅."""
+    PrimeField(p)
+    if face == 0:
+        return reduced_betti(cx, p)
+    if not is_face(cx, face):
+        raise ValueError(f"{mask_vertices(face)} is not a face")
+    dims = _contrastar_quotient(cx.faces(), face, p).homology_dims()
+    return {k: dims.get(k, 0) for k in range(0, dimension(cx) + 1)}
 
 
 def supp(m):
